@@ -3,9 +3,9 @@
 // Part of the tilgc project (PLDI'98 GC reproduction).
 //
 // Microbenchmarks for the primitive costs behind the tables: allocation
-// sequences, write-barrier flavors, and the stack-scan cost as a function
-// of depth — with and without generational stack collection, which is the
-// per-collection cost Table 5 aggregates.
+// sequences, frame push/pop, write-barrier flavors, and the stack-scan cost
+// as a function of depth — with and without generational stack collection,
+// which is the per-collection cost Table 5 aggregates.
 //
 //===----------------------------------------------------------------------===//
 
@@ -75,6 +75,19 @@ void BM_ConsCell(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_ConsCell);
+
+/// One activation record pushed and popped through Frame RAII: the
+/// mutator's call/return cost, excluding any work the callee does.
+void BM_FramePushPop(benchmark::State &State) {
+  Mutator M(genConfig());
+  Frame Outer(M, microKey());
+  for (auto _ : State) {
+    Frame F(M, microKey());
+    benchmark::DoNotOptimize(F.base());
+  }
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_FramePushPop);
 
 template <GenerationalCollector::BarrierKind Kind>
 void BM_WriteBarrier(benchmark::State &State) {

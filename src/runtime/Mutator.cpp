@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
 
 using namespace tilgc;
 
@@ -200,6 +201,25 @@ void Mutator::collect(bool Major) {
     return;
   }
   GC->collect(Major);
+}
+
+void Mutator::runStub(size_t Base) {
+  MarkerManager *MM = GC->markerManager();
+  assert(MM && "stub key without stack markers");
+  Stack.setKey(Base, MM->onStubPop(Base));
+}
+
+void Mutator::popFrameUnwinding(size_t Base) {
+  if (!Stack.isTop(Base)) {
+    assert(std::uncaught_exceptions() > 0 &&
+           "popping a frame that is not on top");
+    return;
+  }
+  assert(std::uncaught_exceptions() > 0 &&
+         "popping a frame with a live exception handler");
+  while (!Handlers.empty() && Handlers.back().FrameBase == Base)
+    Handlers.pop_back();
+  popTopFrame(Base);
 }
 
 void Mutator::raise(Value Exn) {

@@ -29,8 +29,11 @@
 /// Mutator::raise unwinds the shadow stack directly to the innermost
 /// handler — one jump, exactly like a compiled `raise` — retiring
 /// jumped-over stack markers and updating the watermark M (paper §5). The
-/// C++ stack is unwound by a (contained) C++ exception; Frame destructors
-/// detect in-flight unwinding and skip their pop.
+/// C++ stack is unwound by a (contained) C++ exception; the destructors of
+/// the cut Frames find their frame no longer on top and skip their pop.
+/// Any other C++ exception (HeapExhausted, say) unwinds the shadow stack
+/// frame by frame as it unwinds the C++ stack, dropping the handlers of the
+/// frames it leaves.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,7 +50,6 @@
 #include "stack/ShadowStack.h"
 
 #include <cstring>
-#include <exception>
 #include <memory>
 #include <vector>
 
@@ -291,18 +293,16 @@ public:
     return Stack.pushFrame(Key, L.numSlots());
   }
 
+  /// Pops the frame at \p Base (Frame's destructor). The frame must be on
+  /// top and hold no handler, except while a C++ exception unwinds it; see
+  /// popFrameUnwinding.
   void popFrame(size_t Base) {
-    assert((Handlers.empty() || Handlers.back().FrameBase != Base) &&
-           "popping a frame with a live exception handler");
-    uint32_t Key = Stack.keyOf(Base);
-    if (TILGC_UNLIKELY(Key == StubKey)) {
-      // The "stub function" of §5: a marked frame is returning.
-      MarkerManager *MM = GC->markerManager();
-      assert(MM && "stub key without stack markers");
-      Key = MM->onStubPop(Base);
-      Stack.setKey(Base, Key);
+    bool HoldsHandler = !Handlers.empty() && Handlers.back().FrameBase == Base;
+    if (TILGC_UNLIKELY(HoldsHandler || !Stack.isTop(Base))) {
+      popFrameUnwinding(Base);
+      return;
     }
-    Stack.popFrame(Base);
+    popTopFrame(Base);
   }
 
   //===--------------------------------------------------------------------===
@@ -364,6 +364,24 @@ private:
     size_t FrameBase;
     uint64_t Id;
   };
+
+  /// Pops the topmost frame, which starts at \p Base.
+  void popTopFrame(size_t Base) {
+    if (TILGC_UNLIKELY(Stack.keyOf(Base) == StubKey))
+      runStub(Base);
+    Stack.popFrame(Base);
+  }
+
+  /// The "stub function" of §5: the marked frame at \p Base is returning,
+  /// so its marker retires and its original key comes back.
+  void runStub(size_t Base);
+
+  /// popFrame's cold path, legal only while a C++ exception unwinds the
+  /// frame at \p Base. A frame below the top was cut by raise, which
+  /// unwound the shadow stack past it in one jump: its pop is skipped. A
+  /// topmost frame still holding a handler is being left by some other
+  /// exception: its handlers die with it and it pops as a return.
+  void popFrameUnwinding(size_t Base);
 
   /// The allocation fast path (see the allocation section comment).
   Word *allocImpl(ObjectKind Kind, uint32_t LenWords, uint32_t PtrMask,
@@ -500,17 +518,8 @@ private:
 /// RAII activation record. See the file comment for the discipline.
 class Frame {
 public:
-  Frame(Mutator &M, uint32_t Key)
-      : M(M), ExnDepth(std::uncaught_exceptions()) {
-    FrameBase = M.pushFrame(Key);
-  }
-  ~Frame() {
-    // If an ML raise is unwinding the C++ stack, the shadow stack was
-    // already unwound in one jump; skip the individual pop.
-    if (std::uncaught_exceptions() > ExnDepth)
-      return;
-    M.popFrame(FrameBase);
-  }
+  Frame(Mutator &M, uint32_t Key) : M(M), FrameBase(M.pushFrame(Key)) {}
+  ~Frame() { M.popFrame(FrameBase); }
   Frame(const Frame &) = delete;
   Frame &operator=(const Frame &) = delete;
 
@@ -535,7 +544,6 @@ public:
 private:
   Mutator &M;
   size_t FrameBase;
-  int ExnDepth;
 };
 
 } // namespace tilgc

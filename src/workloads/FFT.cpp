@@ -194,11 +194,14 @@ public:
       for (uint32_t Half = 256; Half <= S.MaxSize / 2; Half <<= 1) {
         uint32_t N = Half * 2;
         uint64_t Seed = static_cast<uint64_t>(Rep);
-        std::vector<int64_t> Prod(N, 0);
+        std::vector<int64_t> A(Half), B(Half), Prod(N, 0);
+        for (uint32_t I = 0; I < Half; ++I) {
+          A[I] = coefAt(Seed, N, I);
+          B[I] = coefAt(Seed + 1, N, I);
+        }
         for (uint32_t I = 0; I < Half; ++I)
           for (uint32_t J = 0; J < Half; ++J)
-            Prod[I + J] += static_cast<int64_t>(coefAt(Seed, N, I)) *
-                           coefAt(Seed + 1, N, J);
+            Prod[I + J] += A[I] * B[J];
         for (uint32_t I = 0; I < N; ++I)
           Sum = Sum * 31 + static_cast<uint64_t>(Prod[I]);
       }

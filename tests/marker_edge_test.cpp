@@ -87,6 +87,51 @@ TEST(MarkerEdgeTest, RaiseLandsOnAMarkedHandlerFrame) {
   }
 }
 
+TEST(MarkerEdgeTest, RaiseAcrossMarkedFramesSkipsTheirPops) {
+  // Period 1 marks every frame. The raise jumps over all the marked frames
+  // above the handler and retires their markers; none of them may then
+  // return through the stub as its C++ frame unwinds.
+  Mutator M(markerConfig(1));
+  MarkerManager *MM = M.collector().markerManager();
+  ASSERT_NE(MM, nullptr);
+  Frame Handler(M, keyEdge());
+  Handler.set(1, consInt(M, siteEdge(), 11, slot(Handler, 2)));
+  size_t Depth = M.stack().frameCount();
+
+  struct Helper {
+    static void deep(Mutator &M, int N, uint64_t &StubPopsAtRaise) {
+      Frame F(M, keyEdge());
+      if (N > 0) {
+        deep(M, N - 1, StubPopsAtRaise);
+        return;
+      }
+      M.collect(false); // Marks the whole chain, handler frame included.
+      StubPopsAtRaise = M.collector().markerManager()->numStubPops();
+      if (StubPopsAtRaise != ~uint64_t{0}) // Always; a visible return path.
+        M.raise(Value::fromInt(5));
+    }
+  };
+  uint64_t H = M.pushHandler(Handler.base());
+  uint64_t StubPopsAtRaise = 0;
+  try {
+    Helper::deep(M, 30, StubPopsAtRaise);
+    FAIL() << "must raise";
+  } catch (MLRaise &R) {
+    ASSERT_EQ(R.HandlerId, H);
+  }
+  EXPECT_EQ(M.stack().frameCount(), Depth);
+  EXPECT_EQ(MM->numStubPops(), StubPopsAtRaise)
+      << "a frame cut by the raise returned through the stub";
+  EXPECT_EQ(MM->numActiveMarkers(), Depth)
+      << "only the frames at and below the handler stay marked";
+
+  // The handler frame still works, marker and all.
+  for (int I = 0; I < 2000; ++I)
+    Handler.set(2, consInt(M, siteEdge(), I, slot(Handler, 2)));
+  M.collect(true);
+  EXPECT_EQ(headInt(Handler.get(1)), 11);
+}
+
 TEST(MarkerEdgeTest, RaiseStormKeepsWatermarkSound) {
   Mutator M(markerConfig(3));
   Frame Top(M, keyEdge());

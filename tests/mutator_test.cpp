@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 using namespace tilgc;
 using namespace tilgc::mllib;
 
@@ -302,4 +304,30 @@ TEST(MutatorTest, DeepStacksWithMarkersAcrossManyCollections) {
   EXPECT_GT(S.NumGC, 5u);
   EXPECT_GT(S.FramesReused, S.FramesScanned)
       << "with a stable deep stack, most frames must be reused";
+}
+
+namespace {
+long minorFaultsOfThisThread() {
+  rusage U{};
+  getrusage(RUSAGE_THREAD, &U);
+  return U.ru_minflt;
+}
+} // namespace
+
+TEST(MutatorTest, FreshMutatorCommitsOnlyTheStackItTouches) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators fault in their own shadow memory";
+#endif
+  // The shadow stack reserves 4M slots (32 MiB) but commits pages only as
+  // frames first touch them: a mutator that stays shallow must not pay a
+  // page fault per stack page (8,192 of them when the reservation was
+  // zeroed).
+  long Before = minorFaultsOfThisThread();
+  {
+    Mutator M;
+    Frame F(M, keyTest());
+    F.set(1, consInt(M, siteTest(), 1, slot(F, 2)));
+  }
+  long Faults = minorFaultsOfThisThread() - Before;
+  EXPECT_LT(Faults, 1024) << "constructing a mutator faulted in its stack";
 }

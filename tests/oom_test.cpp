@@ -40,19 +40,23 @@ uint32_t oomKey() {
   return K;
 }
 
+/// Conses onto the list in \p F's slot 1 until the collector throws.
+/// Returns only if the cap never trips (the caller reports that).
+void growUntilExhausted(Mutator &M, Frame &F) {
+  for (uint64_t I = 0; I <= (64u << 20); ++I) { // Paranoia bound.
+    Value Cell = M.allocRecord(oomSite(), 2, 0b10);
+    M.initField(Cell, 0, Value::fromInt(static_cast<int64_t>(I)));
+    M.initField(Cell, 1, F.get(1));
+    F.set(1, Cell);
+  }
+}
+
 /// Retains an ever-growing cons list until the collector throws. Returns
 /// the caught exception's message + dump; fails the test on any other
 /// outcome.
 HeapExhausted exhaust(Mutator &M, Frame &F) {
   try {
-    for (uint64_t I = 0;; ++I) {
-      Value Cell = M.allocRecord(oomSite(), 2, 0b10);
-      M.initField(Cell, 0, Value::fromInt(static_cast<int64_t>(I)));
-      M.initField(Cell, 1, F.get(1));
-      F.set(1, Cell);
-      if (I > (64u << 20)) // Paranoia bound; the cap trips far earlier.
-        break;
-    }
+    growUntilExhausted(M, F);
   } catch (const HeapExhausted &E) {
     return E;
   }
@@ -252,6 +256,89 @@ TEST(OomProtocol, ZeroHardLimitPreservesSoftBudgetGrowth) {
   EXPECT_GT(M.gcStats().BudgetOverruns, 0u);
 }
 
+/// Which of the two frames a HeapExhausted leaves holds a handler.
+enum class HandlerAt { None, Outer, Inner };
+
+/// Pushes two frames, installs a handler on one of them (or neither), and
+/// retains allocations in the inner one until the collector throws.
+void exhaustTwoFramesDeep(Mutator &M, HandlerAt Where) {
+  Frame Outer(M, oomKey());
+  uint64_t H = 0;
+  if (Where == HandlerAt::Outer)
+    H = M.pushHandler(Outer.base());
+  Frame Inner(M, oomKey());
+  if (Where == HandlerAt::Inner)
+    H = M.pushHandler(Inner.base());
+  growUntilExhausted(M, Inner);
+  ADD_FAILURE() << "allocation loop never hit the hard limit";
+  if (H != 0)
+    M.popHandler(H);
+}
+
+/// A HeapExhausted escaping frames unwinds the shadow stack with the C++
+/// stack: every frame it leaves pops as a return (through the stub when
+/// marked) and drops its handlers, so the catcher resumes with exactly its
+/// own frames and handlers live.
+TEST(OomProtocol, HeapExhaustedUnwindsFramesAndHandlers) {
+  for (CollectorKind Kind :
+       {CollectorKind::Generational, CollectorKind::Semispace}) {
+    for (HandlerAt Where :
+         {HandlerAt::None, HandlerAt::Outer, HandlerAt::Inner}) {
+      SCOPED_TRACE(testing::Message()
+                   << "generational=" << (Kind == CollectorKind::Generational)
+                   << " handler=" << static_cast<int>(Where));
+      MutatorConfig C = tinyConfig(Kind, "unwind-oom");
+      // The compactor's exhaustion is not sticky (see
+      // MarkCompactExhaustionIsNotSticky), so allocation can resume.
+      C.MajorGc = GenerationalCollector::MajorGcKind::MarkCompact;
+      C.UseStackMarkers = true;
+      C.MarkerPeriod = 1; // Every collection marks every frame.
+      Mutator M(C);
+      Frame Catcher(M, oomKey());
+      uint64_t Mine = M.pushHandler(Catcher.base());
+      size_t Depth = M.stack().frameCount();
+
+      bool Threw = false;
+      try {
+        exhaustTwoFramesDeep(M, Where);
+      } catch (const HeapExhausted &) {
+        Threw = true;
+      }
+      ASSERT_TRUE(Threw);
+      EXPECT_EQ(M.stack().frameCount(), Depth);
+      EXPECT_EQ(M.stack().topFrameBase(), Catcher.base());
+      std::string Error;
+      EXPECT_TRUE(M.verifyHeap(Error)) << Error;
+
+      // The retained list died with the inner frame, so the compactor has
+      // room again (the semispace collector's exhaustion is sticky: its
+      // copy reserve is part of the standing footprint).
+      if (Kind == CollectorKind::Generational) {
+        M.collect(/*Major=*/true);
+        for (int I = 0; I < 1000; ++I) {
+          Value Cell = M.allocRecord(oomSite(), 2, 0b10);
+          M.initField(Cell, 0, Value::fromInt(I));
+          M.initField(Cell, 1, Catcher.get(1));
+          Catcher.set(1, Cell);
+        }
+      }
+      // A raise lands on the catcher's own handler, not on a stale one
+      // left by a frame the exception unwound.
+      bool Caught = false;
+      try {
+        Frame Callee(M, oomKey());
+        M.raise(Value::fromInt(7));
+      } catch (const MLRaise &R) {
+        EXPECT_EQ(R.HandlerId, Mine);
+        Caught = true;
+      }
+      EXPECT_TRUE(Caught);
+      EXPECT_EQ(M.stack().frameCount(), Depth);
+      EXPECT_TRUE(M.verifyHeap(Error)) << Error;
+    }
+  }
+}
+
 /// Every Table 1 workload, both collectors: under a tiny hard limit the run
 /// either completes (then a retained allocation loop forces the limit) or
 /// throws HeapExhausted — and in all cases the heap verifies clean after.
@@ -332,6 +419,20 @@ TEST(OomProtocolDeath, HostAllocationFailureDiesStructurally) {
         S.reserve(~size_t{0} / 2);
       },
       "space reservation of .* failed: host out of memory");
+}
+
+TEST(OomProtocolDeath, ShadowStackOverflowDiesStructurally) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // Overflow is checked in every build mode: a release build must die
+  // naming the depth and the capacity, not write past the reservation.
+  EXPECT_DEATH(
+      {
+        ShadowStack S(64);
+        for (;;)
+          S.pushFrame(oomKey(), 3);
+      },
+      "shadow stack overflow: pushing a 3-slot frame at depth 21 \\(63 "
+      "slots in use\\) exceeds the capacity of 64 slots");
 }
 
 //===----------------------------------------------------------------------===//
