@@ -84,6 +84,10 @@ Measurement runWorkloadAveraged(Workload &W, const MutatorConfig &Config,
 /// Repeat count from argv ("--reps=N"); defaults to \p Default.
 int repsFromArgs(int Argc, char **Argv, int Default);
 
+/// W.expected(Scale), computed once per (workload name, scale): some
+/// reference oracles (FFT's convolution) cost more than the measured run.
+uint64_t expectedFor(Workload &W, double Scale);
+
 /// The paper's Min: "twice the maximum amount of live data a program has
 /// during execution". Measured with a semispace run (every collection is
 /// full, so live data is sampled accurately); cached per (workload, scale).

@@ -53,7 +53,7 @@ struct Run {
 
 Run runGroup(const EngineCase &E, unsigned Mutators, double Scale, int Reps) {
   std::unique_ptr<Workload> Ref = makeWorkloadByName("Checksum");
-  uint64_t Want = Ref->expected(Scale);
+  uint64_t Want = expectedFor(*Ref, Scale);
 
   Run Best;
   for (int R = 0; R < Reps; ++R) {

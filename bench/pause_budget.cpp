@@ -2,7 +2,7 @@
 //
 // Part of the tilgc project (PLDI'98 GC reproduction).
 //
-// Beyond the paper: the pause-budget mode (Options::MaxPauseMicros) slices
+// Beyond the paper: the pause-budget mode (GcOptions::MaxPauseMicros) slices
 // MarkCompact's mark phase into allocation-safepoint increments, trading a
 // little float for a bounded major-GC p99. This bench is the SLO gate: for
 // every workload x mutator count x budget it runs the workload under the
@@ -82,7 +82,7 @@ Run runCase(Workload &W, unsigned Mutators, uint32_t BudgetUs, double Scale) {
   C.Name = W.name();
   C.MajorGc = GenerationalCollector::MajorGcKind::MarkCompact;
   C.MaxPauseMicros = BudgetUs;
-  uint64_t Want = W.expected(Scale);
+  uint64_t Want = expectedFor(W, Scale);
 
   if (Mutators == 1) {
     // The gated configuration: the plain single-mutator runtime, where

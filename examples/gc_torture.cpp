@@ -33,7 +33,7 @@ using namespace tilgc;
 int main(int Argc, char **Argv) {
   MutatorConfig C;
   C.BudgetBytes = 2u << 20;
-  C.VerifyHeapAfterGC = true;
+  C.VerifyLevel = 1;
   double Scale = 0.5;
   bool Pretenure = false;
   unsigned Mutators = 1;

@@ -23,7 +23,7 @@
 using namespace tilgc;
 
 GenerationalCollector::GenerationalCollector(const CollectorEnv &Env,
-                                             const Options &Opts)
+                                             const GcOptions &Opts)
     : Collector(Env), Opts(Opts), Markers(Opts.MarkerPeriod) {
   Markers.setAdaptive(Opts.AdaptiveMarkerPlacement);
   size_t NurserySize = std::clamp<size_t>(Opts.BudgetBytes / 4, 8u << 10,
@@ -260,15 +260,7 @@ void GenerationalCollector::writeBarrier(Word *Slot) {
     return;
   }
   case BarrierKind::CardMarking:
-    // Young-object slots need no remembering; tenured slots dirty a card;
-    // large-object slots go to a small side buffer.
-    if (inNursery(Slot))
-      return;
-    if (TenuredFrom->contains(Slot)) {
-      Cards.mark(Slot);
-      return;
-    }
-    LOSDirtySlots.push_back(Slot);
+    recordCardSlot(Slot);
     return;
   case BarrierKind::Hybrid:
     if (TILGC_LIKELY(!HybridCardMode)) {
@@ -282,13 +274,7 @@ void GenerationalCollector::writeBarrier(Word *Slot) {
         hybridSwitchToCards();
       return;
     }
-    if (inNursery(Slot))
-      return;
-    if (TenuredFrom->contains(Slot)) {
-      Cards.mark(Slot);
-      return;
-    }
-    LOSDirtySlots.push_back(Slot);
+    recordCardSlot(Slot);
     return;
   }
   TILGC_UNREACHABLE("bad barrier kind");
@@ -299,15 +285,8 @@ void GenerationalCollector::hybridSwitchToCards() {
   // flip modes for good. Young-object slots are dropped (the minor scan
   // covers them); the replay preserves exactly the information the card
   // branch of the barrier would have captured.
-  for (Word *Slot : SSB.entries()) {
-    if (inNursery(Slot))
-      continue;
-    if (TenuredFrom->contains(Slot)) {
-      Cards.mark(Slot);
-      continue;
-    }
-    LOSDirtySlots.push_back(Slot);
-  }
+  for (Word *Slot : SSB.entries())
+    recordCardSlot(Slot);
   SSB.clear();
   // The barrier never records into the SSB again, so from here on every
   // collection clears an empty buffer. Without the latch each of those
@@ -492,7 +471,7 @@ void GenerationalCollector::forEachOldToYoungRoot(SlotFn Fn) {
 void GenerationalCollector::doMinor(size_t NeedTenuredBytes,
                                     GcTrigger Trigger) {
   FaultInjector::ScopedGcPhase GcPhase;
-  if (TILGC_UNLIKELY(effectiveVerifyLevel() >= 2))
+  if (TILGC_UNLIKELY(Opts.VerifyLevel >= 2))
     auditRememberedSets();
 
   // The tenured generation must be able to absorb every survivor — plus,
@@ -727,7 +706,7 @@ void GenerationalCollector::doMinor(size_t NeedTenuredBytes,
 }
 
 bool GenerationalCollector::shouldPoison() const {
-  if (effectiveVerifyLevel() >= 3)
+  if (Opts.VerifyLevel >= 3)
     return true;
   return TILGC_UNLIKELY(FaultInjector::enabled()) &&
          FaultInjector::global().shouldFire(FaultPoint::FromSpacePoison);
@@ -745,7 +724,7 @@ bool GenerationalCollector::runVerifier(std::string &Error) const {
 }
 
 void GenerationalCollector::maybeVerifyHeap(const char *Phase) const {
-  if (TILGC_LIKELY(effectiveVerifyLevel() < 1))
+  if (TILGC_LIKELY(Opts.VerifyLevel < 1))
     return;
   std::string Error;
   if (!runVerifier(Error))
@@ -1568,7 +1547,7 @@ void GenerationalCollector::runIncrementalSlice() {
     uint64_t SpentNs = GcTelemetry::nowNs() - SliceBeginNs;
     IncMC->markStep(SpentNs < HalfNs ? HalfNs - SpentNs : HalfNs / 16 + 1);
   }
-  if (TILGC_UNLIKELY(effectiveVerifyLevel() >= 2))
+  if (TILGC_UNLIKELY(Opts.VerifyLevel >= 2))
     auditTricolorInvariant();
   Tel.endCollection();
   // Re-arm both pacing legs relative to the current fill so every slice

@@ -31,6 +31,7 @@
 #define TILGC_GC_GENERATIONALCOLLECTOR_H
 
 #include "gc/Collector.h"
+#include "gc/GcOptions.h"
 #include "heap/CardTable.h"
 #include "heap/LargeObjectSpace.h"
 #include "heap/RegionManager.h"
@@ -52,125 +53,13 @@ class WorkerPool;
 /// pretenuring and tenure-policy options.
 class GenerationalCollector : public Collector {
 public:
-  /// The paper's SSB (unconditional, duplicate-keeping), the card table
-  /// it suggests for Peg, a filtering SSB that tests for an actual
-  /// old->young store before recording (the classic conditional barrier
-  /// the paper's §9 lists under "write barrier techniques"), or the
-  /// adaptive hybrid that starts as an SSB and degrades to card marking
-  /// when a flood heuristic trips (Peg's 2.97M updates get card behaviour
-  /// automatically; quiet workloads keep the SSB's precise slots).
-  enum class BarrierKind {
-    SequentialStoreBuffer,
-    CardMarking,
-    FilteredStoreBuffer,
-    Hybrid,
-  };
+  /// The configuration enums live beside GcOptions; these names keep
+  /// GenerationalCollector::BarrierKind / ::MajorGcKind spellings working.
+  using BarrierKind = tilgc::BarrierKind;
+  using MajorGcKind = tilgc::MajorGcKind;
 
-  /// How major collections reclaim the tenured generation. Semispace is
-  /// the paper's engine: evacuate everything into a standing to-space
-  /// reservation (2× peak footprint, O(live) bytes moved every major).
-  /// MarkCompact is the region-structured engine beyond the paper: parallel
-  /// mark, per-region liveness, and an in-place slide that leaves dense
-  /// regions pinned — no to-space reservation, and only sparse regions'
-  /// bytes move.
-  enum class MajorGcKind {
-    Semispace,
-    MarkCompact,
-  };
-
-  struct Options {
-    /// Total memory budget: the paper's k*Min.
-    size_t BudgetBytes = 64u << 20;
-    /// Hard cap on total heap footprint. 0 = unlimited (the paper's
-    /// behavior: the k*Min budget is soft, overruns are counted but never
-    /// fatal). When set, the OOM escalation ladder throws a catchable
-    /// HeapExhausted instead of growing past it.
-    size_t HardLimitBytes = 0;
-    /// Nursery bound (paper: the 512K secondary cache; "for benchmarking
-    /// reasons the nursery is sometimes made significantly smaller" — the
-    /// budget clamps it further).
-    size_t NurseryLimitBytes = 512u << 10;
-    /// Tenured-generation resize target (paper: 0.3).
-    double TenuredTargetLiveness = 0.3;
-    /// Arrays at least this big go to the large-object space.
-    size_t LargeObjectThresholdBytes = 4096;
-    /// Generational stack collection (§5).
-    bool UseStackMarkers = false;
-    unsigned MarkerPeriod = 25;
-    /// §7.1 dynamic marker placement: adapt the period to the observed
-    /// fresh-frame count per collection.
-    bool AdaptiveMarkerPlacement = false;
-    /// Scan stack frames through compiled ScanPlans (pointer bitmasks)
-    /// instead of interpreting trace tables slot by slot. Same roots; false
-    /// restores the paper's interpretive scan for comparison.
-    bool CompiledScanPlans = true;
-    /// Write barrier flavor.
-    BarrierKind Barrier = BarrierKind::SequentialStoreBuffer;
-    /// 1 = promote-all (the paper's collector); N>1 = survivors are
-    /// promoted only after N minor collections (ablation, §7.2 discussion).
-    unsigned PromoteAgeThreshold = 1;
-    /// Profile-derived pretenuring decisions (§6); empty disables.
-    std::vector<PretenureDecision> Pretenure;
-    /// Debug: at each minor collection, assert that every skipped (reused)
-    /// stack root points outside the nursery. Costs O(reused roots).
-    bool VerifyReuseInvariant = false;
-    /// Debug: walk and validate the whole heap after every collection.
-    /// Legacy toggle, folded into the effective VerifyLevel as level >= 1.
-    bool VerifyHeapAfterGC = false;
-    /// Leveled heap invariant auditing (active in every build mode):
-    ///   0 = off;
-    ///   1 = post-GC heap walk (headers, pointer validity, no stale
-    ///       forwarding pointers);
-    ///   2 = + pre-minor remembered-set completeness audit (every
-    ///       tenured/LOS slot holding a young pointer must be covered by
-    ///       the barrier output, the cross-generation set, or a scanned
-    ///       pretenured run — §7.2 NoScan runs deliberately excluded);
-    ///   3 = + from-space poisoning after evacuation with poison-integrity
-    ///       and poison-leak checks.
-    /// Levels >= 2 cost O(live tenured data) per minor collection.
-    unsigned VerifyLevel = 0;
-    /// Name for diagnostics (heap dumps, fatal errors).
-    std::string Name;
-    /// Evacuation threads. 1 = the serial engine (bit-identical paper
-    /// reproduction); >1 = the work-stealing ParallelEvacuator.
-    unsigned GcThreads = 1;
-    /// Major-collection engine. Semispace keeps the paper reproduction
-    /// bit-identical; MarkCompact trades it for ~1× footprint and
-    /// move-only-what-pays compaction.
-    MajorGcKind MajorGc = MajorGcKind::Semispace;
-    /// GC-cycle watchdog deadline in microseconds; 0 (the default) leaves
-    /// the supervisor disarmed and free on every path. When set, a
-    /// supervisor thread barks (GcObserver::onWatchdogBark + trace
-    /// instant) if any single collection outlives the deadline, then
-    /// escalates per WatchdogEscalation.
-    uint64_t GcDeadlineMicros = 0;
-    /// Safepoint-rendezvous watchdog deadline in microseconds; 0 =
-    /// disarmed. Consumed by the multi-mutator runtime (MutatorGroup /
-    /// SafepointCoordinator); carried here so one options struct describes
-    /// the whole supervision policy.
-    uint64_t SafepointDeadlineMicros = 0;
-    /// What a watchdog bark escalates to. Report: diagnostic only.
-    /// Recover: additionally request a cooperative abort — a mark-/plan-
-    /// phase abort in MarkCompact fails the major over to a semispace
-    /// evacuation. Fatal: terminate with the stall diagnostic.
-    WatchdogPolicy WatchdogEscalation = WatchdogPolicy::Recover;
-    /// After this many consecutive major-engine failovers, MarkCompact is
-    /// sticky-disabled and every later major runs the semispace fallback
-    /// (the MMTk lesson: when a plan keeps failing, switch plans).
-    unsigned FailoverStickyLimit = 3;
-    /// Pause-budget SLO mode: when non-zero (and MajorGc == MarkCompact),
-    /// major collections run incrementally — the MARK phase is sliced into
-    /// increments of at most this many microseconds, scheduled at
-    /// allocation safepoints, with an SATB deletion barrier keeping the
-    /// trace sound between slices. The cycle is finished by one
-    /// stop-the-world collection when tenured pressure (or any forced
-    /// major) demands it. 0 (the default) disables the mode entirely:
-    /// every incremental path is gated off and results are bit-identical
-    /// to stock MarkCompact.
-    uint64_t MaxPauseMicros = 0;
-  };
-
-  GenerationalCollector(const CollectorEnv &Env, const Options &Opts);
+  /// \p Opts must outlive the collector (the owning Mutator's config).
+  GenerationalCollector(const CollectorEnv &Env, const GcOptions &Opts);
   ~GenerationalCollector() override;
 
   Word *allocate(ObjectKind Kind, uint32_t LenWords, uint32_t PtrMask,
@@ -330,6 +219,18 @@ private:
   bool cardModeActive() const {
     return Opts.Barrier == BarrierKind::CardMarking || HybridCardMode;
   }
+  /// The card-mode record, shared by the CardMarking barrier, the Hybrid
+  /// barrier after its switch, and the switch's SSB replay: young-object
+  /// slots need no remembering, tenured slots dirty a card, large-object
+  /// slots go to a small side buffer.
+  void recordCardSlot(Word *Slot) {
+    if (inNursery(Slot))
+      return;
+    if (TenuredFrom->contains(Slot))
+      Cards.mark(Slot);
+    else
+      LOSDirtySlots.push_back(Slot);
+  }
   /// Recomputes the hybrid flood threshold from the covered space's card
   /// count (called whenever the card table re-attaches).
   void recomputeHybridThreshold() {
@@ -349,13 +250,6 @@ private:
 
   /// nursery + both tenured spaces + LOS footprint.
   size_t footprintBytes() const;
-
-  /// VerifyLevel with the legacy VerifyHeapAfterGC toggle folded in.
-  unsigned effectiveVerifyLevel() const {
-    return Opts.VerifyLevel > (Opts.VerifyHeapAfterGC ? 1u : 0u)
-               ? Opts.VerifyLevel
-               : (Opts.VerifyHeapAfterGC ? 1u : 0u);
-  }
 
   /// Whether this collection should poison evacuated from-space
   /// (VerifyLevel >= 3 or the FromSpacePoison fault point).
@@ -440,7 +334,7 @@ private:
   void forEachLiveObject(
       const std::function<void(Word *, Word)> &Fn) const override;
 
-  Options Opts;
+  const GcOptions &Opts;
   Space NurseryA, NurseryB;
   Space *NurseryFrom = &NurseryA;
   Space *NurseryTo = &NurseryB; ///< Reserved only under aged tenuring.

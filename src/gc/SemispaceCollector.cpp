@@ -19,7 +19,7 @@
 using namespace tilgc;
 
 SemispaceCollector::SemispaceCollector(const CollectorEnv &Env,
-                                       const Options &Opts)
+                                       const GcOptions &Opts)
     : Collector(Env), Opts(Opts), Markers(Opts.MarkerPeriod) {
   Markers.setAdaptive(Opts.AdaptiveMarkerPlacement);
   size_t PerSpace =
@@ -211,14 +211,14 @@ void SemispaceCollector::collectInternal(size_t NeedBytes, GcTrigger Trigger) {
   if (LiveBytes > Stats.MaxLiveBytes)
     Stats.MaxLiveBytes = LiveBytes;
 
-  // Swap and resize. Resizing toward r = TargetLiveness means sizing each
-  // semispace at live/r; the empty space is resized now, the full one
-  // catches up at the next collection.
+  // Swap and resize. Resizing toward r = SemispaceTargetLiveness means
+  // sizing each semispace at live/r; the empty space is resized now, the
+  // full one catches up at the next collection.
   {
     GcTelemetry::PhaseScope ResizePS(Tel, GcPhase::Resize);
     std::swap(Active, Inactive);
     size_t Desired = static_cast<size_t>(
-        static_cast<double>(LiveBytes) / Opts.TargetLiveness);
+        static_cast<double>(LiveBytes) / Opts.SemispaceTargetLiveness);
     size_t MinSize = LiveBytes + NeedBytes + (4u << 10);
     size_t MaxSize = std::max<size_t>(Opts.BudgetBytes / 2, MinSize);
     Desired = std::clamp(Desired, MinSize, MaxSize);

@@ -21,6 +21,7 @@
 #define TILGC_GC_SEMISPACECOLLECTOR_H
 
 #include "gc/Collector.h"
+#include "gc/GcOptions.h"
 #include "heap/Space.h"
 
 #include <memory>
@@ -32,35 +33,9 @@ class WorkerPool;
 /// Two-space copying collector.
 class SemispaceCollector : public Collector {
 public:
-  struct Options {
-    /// Total memory budget (both semispaces together): the paper's k*Min.
-    size_t BudgetBytes = 64u << 20;
-    /// Hard cap on total heap footprint (both semispaces). 0 = unlimited
-    /// (the paper's soft-budget behavior). When set, the collector throws a
-    /// catchable HeapExhausted instead of growing past it.
-    size_t HardLimitBytes = 0;
-    /// Target liveness ratio r (paper: 0.10).
-    double TargetLiveness = 0.10;
-    /// Generational stack collection (§7.1).
-    bool UseStackMarkers = false;
-    unsigned MarkerPeriod = 25;
-    bool AdaptiveMarkerPlacement = false;
-    /// Scan stack frames through compiled ScanPlans (pointer bitmasks)
-    /// instead of interpreting trace tables slot by slot. Same roots; false
-    /// restores the paper's interpretive scan for comparison.
-    bool CompiledScanPlans = true;
-    /// Leveled heap invariant auditing: 0 = off; 1 = post-GC heap walk;
-    /// 3 = + from-space poisoning with integrity checks. (Level 2's
-    /// remembered-set audit is generational-only; here it equals 1.)
-    unsigned VerifyLevel = 0;
-    /// Name for diagnostics (heap dumps, fatal errors).
-    std::string Name;
-    /// Evacuation threads. 1 = the serial engine (bit-identical paper
-    /// reproduction); >1 = the work-stealing ParallelEvacuator.
-    unsigned GcThreads = 1;
-  };
-
-  SemispaceCollector(const CollectorEnv &Env, const Options &Opts);
+  /// \p Opts must outlive the collector (the owning Mutator's config).
+  /// Reads the sizing, stack-scanning, VerifyLevel and GcThreads fields.
+  SemispaceCollector(const CollectorEnv &Env, const GcOptions &Opts);
   ~SemispaceCollector() override;
 
   Word *allocate(ObjectKind Kind, uint32_t LenWords, uint32_t PtrMask,
@@ -109,7 +84,7 @@ private:
   void forEachLiveObject(
       const std::function<void(Word *, Word)> &Fn) const override;
 
-  Options Opts;
+  const GcOptions &Opts;
   Space SpaceA, SpaceB;
   Space *Active = &SpaceA;
   Space *Inactive = &SpaceB;

@@ -30,7 +30,7 @@ void appendU64(std::string &Out, uint64_t V) {
 }
 
 /// JSON string-body escaping for every non-literal string the trace emits:
-/// user-controlled names (Options::Name), watchdog bark detail text, and
+/// user-controlled names (GcOptions::Name), watchdog bark detail text, and
 /// anything else that could carry a quote, backslash, or control byte. A
 /// single unescaped quote in a mutator name makes the whole file unloadable.
 void appendJsonEscaped(std::string &Out, const std::string &S) {
@@ -97,7 +97,7 @@ std::string TraceExporter::render(const EventRecorder &R,
   Out += "{\"traceEvents\":[\n";
 
   bool First = true;
-  // Process naming metadata: the user-supplied session name (Options::Name)
+  // Process naming metadata: the user-supplied session name (GcOptions::Name)
   // labels the whole process track. User-controlled, so escaped.
   if (!SessionName.empty()) {
     First = false;

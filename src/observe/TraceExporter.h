@@ -34,7 +34,7 @@ namespace tilgc {
 class TraceExporter {
 public:
   /// Renders \p R as a chrome://tracing JSON string. A non-empty
-  /// \p SessionName (typically Options::Name) is emitted as process_name
+  /// \p SessionName (typically GcOptions::Name) is emitted as process_name
   /// metadata; all non-literal strings are JSON-escaped.
   static std::string render(const EventRecorder &R,
                             const std::string &SessionName = "");

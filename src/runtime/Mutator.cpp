@@ -19,6 +19,12 @@
 using namespace tilgc;
 
 Mutator::Mutator(const MutatorConfig &Config) : Config(Config) {
+  if (Config.MaxPauseMicros > 0 &&
+      (Config.Kind != CollectorKind::Generational ||
+       Config.MajorGc != MajorGcKind::MarkCompact))
+    fatalError("%s: MaxPauseMicros needs the generational collector with "
+               "MajorGc = MarkCompact",
+               Config.Name.empty() ? "<unnamed>" : Config.Name.c_str());
   if (Config.EnableProfiling)
     Profiler = std::make_unique<HeapProfiler>();
 
@@ -38,50 +44,15 @@ Mutator::Mutator(const MutatorConfig &Config) : Config(Config) {
   if (Recorder)
     Env.Observers.push_back(Recorder.get());
 
+  // The collector keeps a reference to its options: hand it the member
+  // copy, which outlives it, not the caller's argument.
   switch (Config.Kind) {
-  case CollectorKind::Semispace: {
-    SemispaceCollector::Options Opts;
-    Opts.Name = Config.Name;
-    Opts.BudgetBytes = Config.BudgetBytes;
-    Opts.HardLimitBytes = Config.HardLimitBytes;
-    Opts.VerifyLevel = Config.VerifyLevel;
-    Opts.TargetLiveness = Config.SemispaceTargetLiveness;
-    Opts.UseStackMarkers = Config.UseStackMarkers;
-    Opts.MarkerPeriod = Config.MarkerPeriod;
-    Opts.AdaptiveMarkerPlacement = Config.AdaptiveMarkerPlacement;
-    Opts.CompiledScanPlans = Config.CompiledScanPlans;
-    Opts.GcThreads = Config.GcThreads;
-    OwnedGC = std::make_unique<SemispaceCollector>(Env, Opts);
+  case CollectorKind::Semispace:
+    OwnedGC = std::make_unique<SemispaceCollector>(Env, this->Config);
     break;
-  }
-  case CollectorKind::Generational: {
-    GenerationalCollector::Options Opts;
-    Opts.Name = Config.Name;
-    Opts.BudgetBytes = Config.BudgetBytes;
-    Opts.HardLimitBytes = Config.HardLimitBytes;
-    Opts.VerifyLevel = Config.VerifyLevel;
-    Opts.NurseryLimitBytes = Config.NurseryLimitBytes;
-    Opts.TenuredTargetLiveness = Config.TenuredTargetLiveness;
-    Opts.LargeObjectThresholdBytes = Config.LargeObjectThresholdBytes;
-    Opts.UseStackMarkers = Config.UseStackMarkers;
-    Opts.MarkerPeriod = Config.MarkerPeriod;
-    Opts.AdaptiveMarkerPlacement = Config.AdaptiveMarkerPlacement;
-    Opts.CompiledScanPlans = Config.CompiledScanPlans;
-    Opts.Barrier = Config.Barrier;
-    Opts.MajorGc = Config.MajorGc;
-    Opts.PromoteAgeThreshold = Config.PromoteAgeThreshold;
-    Opts.Pretenure = Config.Pretenure;
-    Opts.VerifyReuseInvariant = Config.VerifyReuseInvariant;
-    Opts.VerifyHeapAfterGC = Config.VerifyHeapAfterGC;
-    Opts.GcThreads = Config.GcThreads;
-    Opts.MaxPauseMicros = Config.MaxPauseMicros;
-    Opts.GcDeadlineMicros = Config.GcDeadlineMicros;
-    Opts.SafepointDeadlineMicros = Config.SafepointDeadlineMicros;
-    Opts.WatchdogEscalation = Config.WatchdogEscalation;
-    Opts.FailoverStickyLimit = Config.FailoverStickyLimit;
-    OwnedGC = std::make_unique<GenerationalCollector>(Env, Opts);
+  case CollectorKind::Generational:
+    OwnedGC = std::make_unique<GenerationalCollector>(Env, this->Config);
     break;
-  }
   }
   GC = OwnedGC.get();
 }

@@ -41,6 +41,7 @@
 #define TILGC_RUNTIME_MUTATOR_H
 
 #include "gc/Collector.h"
+#include "gc/GcOptions.h"
 #include "gc/GenerationalCollector.h"
 #include "gc/SemispaceCollector.h"
 #include "object/Object.h"
@@ -60,80 +61,12 @@ class EventRecorder;
 /// Which collector a mutator runs on.
 enum class CollectorKind { Semispace, Generational };
 
-/// Everything configurable about a runtime instance; defaults mirror the
-/// paper's setup.
-struct MutatorConfig {
+/// Everything configurable about a runtime instance: the collector
+/// parameters (GcOptions) plus the runtime-side fields below.
+struct MutatorConfig : GcOptions {
   CollectorKind Kind = CollectorKind::Generational;
-  /// Name for diagnostics: heap-state dumps and fatal errors cite it so a
-  /// torture matrix can tell which workload/configuration died.
-  std::string Name;
-  /// Total memory budget: the paper's k*Min.
-  size_t BudgetBytes = 64u << 20;
-  /// Hard cap on total heap footprint. 0 = unlimited (the paper's
-  /// soft-budget behavior: collections may grow past BudgetBytes, counting
-  /// BudgetOverruns). When set, exhaustion becomes a catchable
-  /// HeapExhausted carrying a heap-state dump, in every build mode.
-  size_t HardLimitBytes = 0;
-  /// Generational stack collection (§5).
-  bool UseStackMarkers = false;
-  unsigned MarkerPeriod = 25;
-  /// §7.1 dynamic marker placement (adaptive period).
-  bool AdaptiveMarkerPlacement = false;
-  /// Scan stack frames through compiled ScanPlans; false restores the
-  /// paper's interpretive trace-table scan.
-  bool CompiledScanPlans = true;
-  /// Pretenuring decisions (§6); generational only.
-  std::vector<PretenureDecision> Pretenure;
-  /// Write barrier flavor; generational only. Hybrid starts as an SSB and
-  /// degrades to card marking when the flood heuristic trips (Peg).
-  GenerationalCollector::BarrierKind Barrier =
-      GenerationalCollector::BarrierKind::SequentialStoreBuffer;
-  /// Major-collection engine; generational only. Semispace is the paper's
-  /// evacuating major; MarkCompact is the region-structured in-place
-  /// compactor (~1x standing footprint, moves only what pays).
-  GenerationalCollector::MajorGcKind MajorGc =
-      GenerationalCollector::MajorGcKind::Semispace;
-  /// 1 = promote-all; >1 = aged-tenuring ablation.
-  unsigned PromoteAgeThreshold = 1;
-  size_t NurseryLimitBytes = 512u << 10;
-  size_t LargeObjectThresholdBytes = 4096;
-  double SemispaceTargetLiveness = 0.10;
-  double TenuredTargetLiveness = 0.3;
   /// Attach a heap profiler (slows the run; paper: 50-200%).
   bool EnableProfiling = false;
-  /// Debug: verify the §5 reused-root invariant at each minor collection.
-  bool VerifyReuseInvariant = false;
-  /// Debug: walk and validate the whole heap after every collection.
-  /// Legacy switch — equivalent to VerifyLevel = 1.
-  bool VerifyHeapAfterGC = false;
-  /// Leveled heap invariant auditing, active in every build mode:
-  /// 0 = off; 1 = post-GC heap walk; 2 = + pre-minor remembered-set
-  /// completeness audit (generational); 3 = + from-space poisoning with
-  /// wild-write integrity checks.
-  unsigned VerifyLevel = 0;
-  /// Evacuation threads: 1 = the serial engine (bit-identical paper
-  /// reproduction); >1 = the work-stealing ParallelEvacuator.
-  unsigned GcThreads = 1;
-  /// Pause-budget SLO in microseconds; 0 = stock stop-the-world majors
-  /// (bit-identical to builds without the feature). When set (generational
-  /// + MarkCompact only), major collections run as an incremental cycle:
-  /// the mark phase is sliced into increments budgeted against this value
-  /// and scheduled at allocation safepoints, with an SATB deletion barrier
-  /// keeping the snapshot sound; only the finishing compaction stays
-  /// stop-the-world. See GenerationalCollector::Options::MaxPauseMicros.
-  uint64_t MaxPauseMicros = 0;
-  /// GC-cycle watchdog deadline in microseconds; 0 = disarmed (free on
-  /// every path). Generational only. See GenerationalCollector::Options.
-  uint64_t GcDeadlineMicros = 0;
-  /// Safepoint-rendezvous watchdog deadline in microseconds; 0 = disarmed.
-  /// Consumed by MutatorGroup's coordinator (multi-mutator runtime only).
-  uint64_t SafepointDeadlineMicros = 0;
-  /// Bark escalation: Report (diagnose), Recover (+ cooperative abort →
-  /// major-engine failover), Fatal (terminate with the diagnostic).
-  WatchdogPolicy WatchdogEscalation = WatchdogPolicy::Recover;
-  /// Consecutive major-engine failovers before MarkCompact is
-  /// sticky-disabled in favor of the semispace fallback.
-  unsigned FailoverStickyLimit = 3;
   /// Telemetry observer to register with the collector (non-owning; must
   /// outlive the mutator). Registering any observer arms per-collection
   /// event assembly and phase stamps (see observe/GcTelemetry.h).
@@ -489,6 +422,7 @@ private:
   /// TLAB grant size: 2048 words = 16 KB, 1/32 of the default nursery.
   static constexpr size_t TlabWords = 2048;
 
+  /// Declared before OwnedGC: the owned collector holds a reference to it.
   MutatorConfig Config;
   ShadowStack Stack;
   RegisterFile Regs;

@@ -32,7 +32,7 @@
 /// flag itself can be relaxed: a thread that misses it simply parks at a
 /// later poll, and the owner waits exactly until it does.
 ///
-/// Pause-budget incremental slices (Options::MaxPauseMicros) ride the
+/// Pause-budget incremental slices (GcOptions::MaxPauseMicros) ride the
 /// same protocol: a mark slice is a (short) stopped-world operation run
 /// from the allocation slow path, so the recorded pause of any group-mode
 /// collection — slice or full — includes the rendezvous wait, i.e. the

@@ -32,7 +32,7 @@
 /// touch frame metadata.
 ///
 /// The interpretive scan remains available behind
-/// `Options::CompiledScanPlans = false` as the paper-faithful mode; the
+/// `GcOptions::CompiledScanPlans = false` as the paper-faithful mode; the
 /// differential test in tests/scan_plan_test.cpp pins the two modes to
 /// identical root sets, collection behavior, and pretenuring profiles.
 ///

@@ -17,7 +17,7 @@
 /// Pass 2 has two execution modes. The interpretive mode (the paper's
 /// §2.3, and the default of this raw entry point) dispatches a switch per
 /// slot trace. The compiled mode (CompiledPlans = true; the collectors'
-/// default via Options::CompiledScanPlans) fetches the frame's memoized
+/// default via GcOptions::CompiledScanPlans) fetches the frame's memoized
 /// ScanPlan and iterates its pointer bitmask with countr_zero, interpreting
 /// only the dense CalleeSave/Compute side lists — same roots, same register
 /// state, same marker behavior, a fraction of the per-slot work.

@@ -38,7 +38,7 @@ TEST(AgedTenuringTest, SurvivorsStayYoungUntilThreshold) {
   MutatorConfig C;
   C.BudgetBytes = 1u << 20;
   C.PromoteAgeThreshold = 3;
-  C.VerifyHeapAfterGC = true;
+  C.VerifyLevel = 1;
   Mutator M(C);
   Frame F(M, keyGc());
   F.set(1, consInt(M, siteGc(), 7, slot(F, 2)));
@@ -62,7 +62,7 @@ TEST(AgedTenuringTest, PromotionCreatedOldToYoungEdgeSurvives) {
   MutatorConfig C;
   C.BudgetBytes = 1u << 20;
   C.PromoteAgeThreshold = 2;
-  C.VerifyHeapAfterGC = true;
+  C.VerifyLevel = 1;
   Mutator M(C);
   Frame F(M, keyGc());
   auto &GC = static_cast<GenerationalCollector &>(M.collector());
@@ -123,7 +123,7 @@ TEST(SemispaceTest, ResizesTowardTargetLiveness) {
 TEST(GenerationalTest, MajorCollectionsReclaimTenuredGarbage) {
   MutatorConfig C;
   C.BudgetBytes = 512u << 10;
-  C.VerifyHeapAfterGC = true;
+  C.VerifyLevel = 1;
   Mutator M(C);
   Frame F(M, keyGc());
   // Repeatedly build a list that survives one minor collection (promoted)

@@ -160,7 +160,7 @@ TEST(MarkCompactTest, InPlaceMajorPreservesLiveDataAndReclaims) {
   MutatorConfig C;
   C.BudgetBytes = 1u << 20;
   C.MajorGc = MajorGcKind::MarkCompact;
-  C.VerifyHeapAfterGC = true;
+  C.VerifyLevel = 1;
   Mutator M(C);
   Frame F(M, keyMc());
 
@@ -195,7 +195,7 @@ TEST(MarkCompactTest, GrowthFallbackPreservesLiveData) {
   C.BudgetBytes = 16u << 20;
   C.NurseryLimitBytes = 64u << 10;
   C.MajorGc = MajorGcKind::MarkCompact;
-  C.VerifyHeapAfterGC = true;
+  C.VerifyLevel = 1;
   Mutator M(C);
   Frame F(M, keyMc());
   for (int I = 0; I < 60000; ++I) // ~1.9MB live, all reachable.
@@ -216,7 +216,7 @@ TEST(MarkCompactTest, AgedTenuringMatchesSemispaceMajorContract) {
     C.BudgetBytes = 1u << 20;
     C.MajorGc = K;
     C.PromoteAgeThreshold = 3;
-    C.VerifyHeapAfterGC = true;
+    C.VerifyLevel = 1;
     Mutator M(C);
     Frame F(M, keyMc());
     F.set(1, consInt(M, siteMc(), 7, slot(F, 2)));
@@ -236,7 +236,7 @@ TEST(MarkCompactTest, LargeObjectsSurviveAndDieAcrossCompaction) {
   MutatorConfig C;
   C.BudgetBytes = 1u << 20;
   C.MajorGc = MajorGcKind::MarkCompact;
-  C.VerifyHeapAfterGC = true;
+  C.VerifyLevel = 1;
   Mutator M(C);
   Frame F(M, keyMc());
 

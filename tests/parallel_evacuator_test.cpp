@@ -291,7 +291,7 @@ RunOutcome runWorkload(CollectorKind Kind, unsigned Threads,
   Cfg.GcThreads = Threads;
   Cfg.PromoteAgeThreshold = PromoteAge;
   Cfg.EnableProfiling = true;
-  Cfg.VerifyHeapAfterGC = true;
+  Cfg.VerifyLevel = 1;
   Mutator M(Cfg);
   RunOutcome R;
   R.Hash = mutate(M);

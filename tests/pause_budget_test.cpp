@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The pause-budget SLO mode (Options::MaxPauseMicros): the mark phase of a
+/// The pause-budget SLO mode (GcOptions::MaxPauseMicros): the mark phase of a
 /// mark-compact major is sliced into allocation-safepoint increments with a
 /// SATB deletion barrier filling the gaps between slices. Contracts proved
 /// here:
@@ -26,6 +26,8 @@
 ///  * Supervision: a GC watchdog with WatchdogPolicy::Recover that barks
 ///    mid-cycle force-finishes the cycle (cooperative recovery), and the
 ///    run still completes correctly.
+///  * A budget on any engine other than the generational mark-compact one
+///    is rejected when the Mutator is built, not silently dropped.
 ///
 /// Suite names all contain "PauseBudget" so CI can run the whole plane with
 /// --gtest_filter=*PauseBudget* on both the debug and NDEBUG binaries (this
@@ -378,4 +380,22 @@ TEST(PauseBudgetResilience, RecoverBarkForceFinishesCycle) {
       << "1ms deadline across whole cycles never barked";
   std::string Err;
   EXPECT_TRUE(M.verifyHeap(Err)) << Err;
+}
+
+//===----------------------------------------------------------------------===//
+// Construction: a budget the configuration cannot honor is an error.
+//===----------------------------------------------------------------------===//
+
+TEST(PauseBudgetDeath, BudgetWithoutMarkCompactIsRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  MutatorConfig C = budgetConfig(/*MaxPauseMicros=*/100);
+  C.Name = "budget-semispace-major";
+  C.MajorGc = MajorGcKind::Semispace;
+  EXPECT_DEATH({ Mutator M(C); },
+               "budget-semispace-major: MaxPauseMicros needs the "
+               "generational collector with MajorGc = MarkCompact");
+  C.Name = "budget-semispace-collector";
+  C.Kind = CollectorKind::Semispace;
+  EXPECT_DEATH({ Mutator M(C); },
+               "budget-semispace-collector: MaxPauseMicros needs");
 }

@@ -505,7 +505,7 @@ DiffOutcome runDiffWorkload(unsigned Threads, bool CompiledPlans) {
   Cfg.CompiledScanPlans = CompiledPlans;
   Cfg.GcThreads = Threads;
   Cfg.EnableProfiling = true;
-  Cfg.VerifyHeapAfterGC = true;
+  Cfg.VerifyLevel = 1;
   Cfg.VerifyReuseInvariant = true;
   Mutator M(Cfg);
 

@@ -69,7 +69,7 @@ std::vector<ConfigCase> testConfigs() {
     C.Kind = CollectorKind::Generational;
     C.BudgetBytes = 1u << 20;
     C.PromoteAgeThreshold = 3;
-    C.VerifyHeapAfterGC = true;
+    C.VerifyLevel = 1;
     Cases.push_back({"generational_aged", C});
   }
   {
@@ -79,7 +79,7 @@ std::vector<ConfigCase> testConfigs() {
     C.Kind = CollectorKind::Generational;
     C.BudgetBytes = 200u << 10;
     C.PromoteAgeThreshold = 2;
-    C.VerifyHeapAfterGC = true;
+    C.VerifyLevel = 1;
     Cases.push_back({"generational_aged_tiny_verified", C});
   }
   {
@@ -94,7 +94,7 @@ std::vector<ConfigCase> testConfigs() {
     C.Kind = CollectorKind::Generational;
     C.BudgetBytes = 1u << 20;
     C.EnableProfiling = true;
-    C.VerifyHeapAfterGC = true;
+    C.VerifyLevel = 1;
     Cases.push_back({"generational_profiled", C});
   }
   {
