@@ -89,22 +89,41 @@ void BM_FramePushPop(benchmark::State &State) {
 }
 BENCHMARK(BM_FramePushPop);
 
-template <GenerationalCollector::BarrierKind Kind>
+/// Per-store cost of each write-barrier policy against an old target. The
+/// remembered set is drained every 64K stores with the timer paused, so
+/// each figure is the store and its record alone, not an amortized minor
+/// collection. With \p FloodFirst the setup floods the hybrid past its
+/// switch point, so the timed stores take the post-switch card path.
+template <GenerationalCollector::BarrierKind Kind, bool FloodFirst = false>
 void BM_WriteBarrier(benchmark::State &State) {
   MutatorConfig C = genConfig();
   C.Barrier = Kind;
   Mutator M(C);
+  auto &GC = static_cast<GenerationalCollector &>(M.collector());
   Frame F(M, microKey());
   // An old (promoted) target so the barrier has real work to remember.
   F.set(1, M.allocPtrArray(microSite(), 16));
   M.collect(false);
+  if (FloodFirst) {
+    for (uint64_t I = 0; I <= GC.rememberedSet().floodThreshold(); ++I)
+      M.writeField(F.get(1), I & 15, Value::null(), true);
+    M.collect(false);
+    if (!GC.rememberedSet().inCardMode())
+      State.SkipWithError("the flood did not switch the barrier to cards");
+  }
+  bool CardMode = GC.rememberedSet().inCardMode();
   uint32_t I = 0;
   for (auto _ : State) {
     M.writeField(F.get(1), I & 15, Value::null(), true);
     ++I;
-    if ((I & 0xFFFF) == 0)
-      M.collect(false); // Drain the remembered set periodically.
+    if ((I & 0xFFFF) == 0) {
+      State.PauseTiming();
+      M.collect(false); // Drain the remembered set, untimed.
+      State.ResumeTiming();
+    }
   }
+  if (GC.rememberedSet().inCardMode() != CardMode)
+    State.SkipWithError("the barrier switched mid-measurement");
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(
@@ -115,10 +134,12 @@ BENCHMARK(BM_WriteBarrier<GenerationalCollector::BarrierKind::CardMarking>)
 BENCHMARK(
     BM_WriteBarrier<GenerationalCollector::BarrierKind::FilteredStoreBuffer>)
     ->Name("BM_WriteBarrierFilteredSSB");
-// Note: the drain interval (64K stores) exceeds the hybrid flood threshold,
-// so this measures the post-switch (card-mode) fast path after warmup.
+// The 64K-store drain interval stays below the hybrid's switch point
+// (4 x 65,024 tenured cards at this budget), so this one never switches.
 BENCHMARK(BM_WriteBarrier<GenerationalCollector::BarrierKind::Hybrid>)
-    ->Name("BM_WriteBarrierHybrid");
+    ->Name("BM_WriteBarrierHybridPreSwitch");
+BENCHMARK(BM_WriteBarrier<GenerationalCollector::BarrierKind::Hybrid, true>)
+    ->Name("BM_WriteBarrierHybridPostSwitch");
 
 /// Copy-phase cost: a semispace collection copies the whole live list every
 /// iteration, so this times the serial evacuator's hot loop (from-space

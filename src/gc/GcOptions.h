@@ -26,14 +26,16 @@
 
 namespace tilgc {
 
-/// The generational write barrier. The paper's SSB (unconditional,
-/// duplicate-keeping), the card table it suggests for Peg, a filtering SSB
-/// that tests for an actual old->young store before recording (the classic
-/// conditional barrier the paper's §9 lists under "write barrier
-/// techniques"), or the adaptive hybrid that starts as an SSB and degrades
-/// to card marking when a flood heuristic trips (Peg's 2.97M updates get
-/// card behaviour automatically; quiet workloads keep the SSB's precise
-/// slots).
+/// The generational write barrier: a policy of one remembered set
+/// (gc/RememberedSet.h) with two record paths, a slot log (the paper's
+/// SSB, duplicates kept) and a card table (the paper's suggested fix for
+/// Peg). The filter is the conditional barrier of the paper's §9 list.
+///
+///   kind                   old->young filter  starts in  switches to cards
+///   SequentialStoreBuffer  no                 slot log   never
+///   FilteredStoreBuffer    yes                slot log   never
+///   CardMarking            no                 cards      (starts there)
+///   Hybrid                 no                 slot log   at 4 x tenured cards
 enum class BarrierKind {
   SequentialStoreBuffer,
   CardMarking,

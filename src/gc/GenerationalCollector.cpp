@@ -18,13 +18,18 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 #include <unordered_set>
 
 using namespace tilgc;
 
 GenerationalCollector::GenerationalCollector(const CollectorEnv &Env,
                                              const GcOptions &Opts)
-    : Collector(Env), Opts(Opts), Markers(Opts.MarkerPeriod) {
+    : Collector(Env), Opts(Opts),
+      Pool(Opts.GcThreads > 1 ? std::make_unique<WorkerPool>(Opts.GcThreads)
+                              : nullptr),
+      RS(Opts.Barrier, NurseryA, NurseryB, Stats, Tel, Pool.get()),
+      Markers(Opts.MarkerPeriod) {
   Markers.setAdaptive(Opts.AdaptiveMarkerPlacement);
   size_t NurserySize = std::clamp<size_t>(Opts.BudgetBytes / 4, 8u << 10,
                                           Opts.NurseryLimitBytes);
@@ -37,6 +42,7 @@ GenerationalCollector::GenerationalCollector(const CollectorEnv &Env,
       Opts.BudgetBytes > NurseryFoot ? (Opts.BudgetBytes - NurseryFoot) / 2 : 0;
   TenuredSize = std::max(TenuredSize, NurserySize + (16u << 10));
   TenuredA.reserve(TenuredSize);
+  RS.rebind(TenuredA);
   if (Opts.MajorGc == MajorGcKind::Semispace) {
     TenuredB.reserve(TenuredSize);
   } else {
@@ -70,28 +76,16 @@ GenerationalCollector::GenerationalCollector(const CollectorEnv &Env,
     }
   }
 
-  if (usesCardBarrier()) {
-    // Hybrid attaches from construction too: promotions recorded while the
-    // barrier is still in SSB mode must be resolvable once it degrades.
-    Cards.attach(*TenuredFrom);
-    CrossMap.attach(*TenuredFrom);
-    recomputeHybridThreshold();
-  }
-  if (Opts.GcThreads > 1)
-    Pool = std::make_unique<WorkerPool>(Opts.GcThreads);
   if (Opts.GcDeadlineMicros)
     // Bark diagnostics read the in-flight phase from a relaxed atomic the
     // telemetry plane only publishes when someone is watching.
     Tel.enableLivePhase();
 
   // Root-side containers live for the collector's lifetime; reserving here
-  // means steady-state collections never grow them. (SSB entries between
-  // collections are workload-dependent; 4096 covers the bench workloads'
-  // common case and the vector grows past it once, keeping the capacity.)
+  // means steady-state collections never grow them.
   Roots.reserve(1024);
   Cache.reserve(256, 1024);
   RegRootAddrs.reserve(NumRegisters);
-  SSB.reserve(4096);
   RootBatch.reserve(1024);
   MinorCrossGen.reserve(256);
   noteFootprint();
@@ -190,11 +184,7 @@ Word *GenerationalCollector::allocate(ObjectKind Kind, uint32_t LenWords,
         throwHeapExhausted(Total, OomStage::RetryAfterMajor);
     }
     notePretenuredRun(Payload, Descriptor, PretenureFlag[SiteId] == 2);
-    if (usesCardBarrier()) {
-      CrossMap.recordObject(Payload - HeaderWords,
-                            objectTotalWords(Descriptor));
-      ++Stats.CrossingMapUpdates;
-    }
+    RS.noteTenuredObject(Payload - HeaderWords, objectTotalWords(Descriptor));
     Stats.PretenuredBytes += Total;
     accountAllocation(Kind, Descriptor, SiteId);
     std::memset(Payload, 0, PayloadBytes);
@@ -230,77 +220,14 @@ Word *GenerationalCollector::allocate(ObjectKind Kind, uint32_t LenWords,
         if (TILGC_UNLIKELY(!Payload))
           throwHeapExhausted(Total, OomStage::TenuredFallback);
         notePretenuredRun(Payload, Descriptor, /*NoScan=*/false);
-        if (usesCardBarrier()) {
-          CrossMap.recordObject(Payload - HeaderWords,
-                                objectTotalWords(Descriptor));
-          ++Stats.CrossingMapUpdates;
-        }
+        RS.noteTenuredObject(Payload - HeaderWords,
+                             objectTotalWords(Descriptor));
       }
     }
   }
   accountAllocation(Kind, Descriptor, SiteId);
   std::memset(Payload, 0, PayloadBytes);
   return Payload;
-}
-
-void GenerationalCollector::writeBarrier(Word *Slot) {
-  switch (Opts.Barrier) {
-  case BarrierKind::SequentialStoreBuffer:
-    SSB.record(Slot);
-    return;
-  case BarrierKind::FilteredStoreBuffer: {
-    // Conditional barrier: record only genuine old->young stores. Costs
-    // two range tests per pointer store; collections see few entries.
-    if (inNursery(Slot))
-      return;
-    Word Bits = *Slot;
-    if (!Bits || !inNursery(reinterpret_cast<Word *>(Bits)))
-      return;
-    SSB.record(Slot);
-    return;
-  }
-  case BarrierKind::CardMarking:
-    recordCardSlot(Slot);
-    return;
-  case BarrierKind::Hybrid:
-    if (TILGC_LIKELY(!HybridCardMode)) {
-      // SSB mode: record unconditionally (identical cost and totals to the
-      // plain SSB), then test the flood heuristic. The comparison against
-      // the card capacity is the insight: once the pending SSB holds more
-      // entries than the dirtiest possible card table, precise slots have
-      // stopped paying for themselves.
-      SSB.record(Slot);
-      if (TILGC_UNLIKELY(SSB.size() >= HybridFloodEntries))
-        hybridSwitchToCards();
-      return;
-    }
-    recordCardSlot(Slot);
-    return;
-  }
-  TILGC_UNREACHABLE("bad barrier kind");
-}
-
-void GenerationalCollector::hybridSwitchToCards() {
-  // Replay the pending SSB into the card/side-buffer representation, then
-  // flip modes for good. Young-object slots are dropped (the minor scan
-  // covers them); the replay preserves exactly the information the card
-  // branch of the barrier would have captured.
-  for (Word *Slot : SSB.entries())
-    recordCardSlot(Slot);
-  SSB.clear();
-  // The barrier never records into the SSB again, so from here on every
-  // collection clears an empty buffer. Without the latch each of those
-  // clears counts as a low-fill clear and the shrink policy halves the
-  // flood-sized capacity step by step — each halving allocating a fresh
-  // half-size backing next to the old one, a transient 1.5x-flood spike
-  // repeated every ShrinkAfterClears collections, all for a buffer that is
-  // permanently idle. Latch the policy off instead.
-  SSB.disableShrink();
-  HybridCardMode = true;
-  HybridSwitchedSinceGC = true;
-  ++Stats.HybridSwitches;
-  if (Stats.HybridSwitchEpoch == 0)
-    Stats.HybridSwitchEpoch = Stats.NumGC + 1;
 }
 
 void GenerationalCollector::collect(bool Major) {
@@ -343,102 +270,12 @@ void GenerationalCollector::notePretenuredRun(Word *Payload, Word Descriptor,
   Runs.push_back(Run{Begin, End, NoScan});
 }
 
-/// All dirty cards → \p Fn, in card order. When a worker pool exists and
-/// the dirty count justifies the fork/join, the card range is partitioned
-/// into per-worker stripes scanned concurrently into private scratch
-/// vectors, which are then drained serially in stripe order — the same
-/// field sequence a serial full scan emits (a dirty run split at a stripe
-/// boundary re-walks the straddling object, but scanDirtyCardRange's range
-/// checks keep each field in exactly one stripe). Fn itself always runs on
-/// the controlling thread.
-template <typename SlotFn>
-void GenerationalCollector::sweepDirtyCards(SlotFn Fn) {
-  size_t NumCards = Cards.numCards();
-  uint64_t CardsScanned = 0, SlotsVisited = 0;
-  bool Faulted = false;
-  if (Pool && Cards.numDirtyCards() >= ParallelSweepMinDirtyCards) {
-    unsigned N = Pool->numWorkers();
-    SweepScratch.resize(N);
-    std::vector<uint64_t> WCards(N, 0), WSlots(N, 0);
-    std::vector<uint8_t> WFault(N, 0);
-    Pool->runOnAll([&](unsigned I) {
-      SweepScratch[I].clear();
-      size_t Begin = NumCards * I / N;
-      size_t End = NumCards * (I + 1) / N;
-      // Exceptions must not cross the pool boundary (runOnAll joins, it
-      // does not transport); a faulted stripe is flagged and the sweep
-      // degrades to the full-walk fallback below.
-      try {
-        Cards.scanDirtyCardRange(*TenuredFrom, CrossMap, Begin, End,
-                                 WCards[I], WSlots[I], [&](Word *F) {
-                                   SweepScratch[I].push_back(F);
-                                 });
-      } catch (const CardSweepFault &) {
-        WFault[I] = 1;
-      }
-    });
-    for (unsigned I = 0; I < N; ++I) {
-      CardsScanned += WCards[I];
-      SlotsVisited += WSlots[I];
-      if (WFault[I])
-        Faulted = true;
-    }
-    if (!Faulted)
-      for (unsigned I = 0; I < N; ++I)
-        for (Word *F : SweepScratch[I])
-          Fn(F);
-  } else {
-    try {
-      Cards.scanDirtyCardRange(*TenuredFrom, CrossMap, 0, NumCards,
-                               CardsScanned, SlotsVisited, Fn);
-    } catch (const CardSweepFault &) {
-      Faulted = true;
-    }
-  }
-  Stats.CardsScanned += CardsScanned;
-  Stats.CardSlotsVisited += SlotsVisited;
-  if (TILGC_UNLIKELY(Faulted)) {
-    // Degraded completeness: a throwing sweep may have emitted only part
-    // of the dirty-card field set, so re-derive the whole remembered set
-    // from first principles — every pointer field of every tenured object.
-    // Duplicates with fields already emitted are harmless (forwarding is
-    // idempotent, same as duplicate SSB entries); the cost is one tenured
-    // walk, paid only on the faulted collection.
-    ++Stats.CardSweepFaults;
-    TenuredFrom->walk([&](Word *Payload, Word, bool) {
-      forEachPointerField(Payload, [&](Word *Field) { Fn(Field); });
-    });
-  }
-}
-
 template <typename SlotFn>
 void GenerationalCollector::forEachOldToYoungRoot(SlotFn Fn) {
-  // Write-barrier output. (Phase scopes live here, as siblings, so phase
-  // durations never nest and their sum stays below the pause; both scopes
-  // are no-ops outside a collection, e.g. under the pre-minor audit.)
-  if (!cardModeActive()) {
-    GcTelemetry::PhaseScope PS(Tel, GcPhase::SsbFilter);
-    for (Word *Slot : SSB.entries()) {
-      // Slots inside young objects are covered by the copy scan itself;
-      // the paper's collector filters them the same way.
-      if (inNursery(Slot))
-        continue;
-      Fn(Slot);
-      ++Stats.SSBEntriesProcessed;
-    }
-  } else {
-    GcTelemetry::PhaseScope PS(Tel, GcPhase::CardScan);
-    // Card-scan fields are accounted as CardsScanned/CardSlotsVisited, not
-    // SSB entries: the emitted set depends on object placement, which the
-    // parallel evacuator makes engine-dependent, and SsbEntriesProcessed
-    // must stay in the deterministic event slice. The LOS side buffer is
-    // precise barrier output and counts.
-    sweepDirtyCards(Fn);
-    for (Word *Slot : LOSDirtySlots) {
-      Fn(Slot);
-      ++Stats.SSBEntriesProcessed;
-    }
-  }
+  // Write-barrier output. (Phase scopes are siblings, so phase durations
+  // never nest and their sum stays below the pause; they are no-ops outside
+  // a collection, e.g. under the pre-minor audit.)
+  RS.forEachSlot(Fn);
 
   GcTelemetry::PhaseScope PS(Tel, GcPhase::SsbFilter);
   // The pretenured region (§6): "we remember the area of the older
@@ -466,6 +303,60 @@ void GenerationalCollector::forEachOldToYoungRoot(SlotFn Fn) {
   // stores bypassed the barrier, so scan them like the pretenured region.
   for (Word *Payload : NewLargeObjects)
     forEachPointerField(Payload, [&](Word *Field) { Fn(Field); });
+}
+
+template <typename EngineT>
+void GenerationalCollector::runEvacuation(EngineT &E, bool Major,
+                                          bool ProcessReused) {
+  constexpr bool Parallel = std::is_same_v<EngineT, ParallelEvacuator>;
+  {
+    TimerScope T(Stats.StackTime);
+    GcTelemetry::PhaseScope PS(Tel, GcPhase::RootHandoff);
+    auto HandOff = [&](const std::vector<Word *> &Span) {
+      if constexpr (Parallel)
+        E.addRootSpan(Span.data(), Span.size());
+      else
+        E.forwardRootSpan(Span.data(), Span.size());
+    };
+    HandOff(Roots.FreshSlotRoots);
+    HandOff(RegRootAddrs);
+    if (ProcessReused)
+      HandOff(Roots.ReusedSlotRoots);
+    if (!Major) {
+      HandOff(CrossGenSlots);
+      HandOff(RootBatch);
+    }
+  }
+  {
+    TimerScope T(Stats.CopyTime);
+    GcTelemetry::PhaseScope PS(Tel, GcPhase::Copy);
+    if constexpr (Parallel)
+      E.run();
+    else
+      E.drain();
+  }
+  Stats.BytesCopied += E.bytesCopied();
+  Stats.ObjectsCopied += E.objectsCopied();
+  Stats.CrossingMapUpdates += E.crossingMapUpdates();
+  if (Major)
+    Stats.MajorBytesMoved += E.bytesCopied();
+  GcEvent *Ev = Tel.currentEvent();
+  if (Ev) {
+    Ev->BytesCopied = E.bytesCopied();
+    Ev->ObjectsCopied = E.objectsCopied();
+    if (Major)
+      Ev->BytesMoved = E.bytesCopied();
+  }
+  if constexpr (Parallel) {
+    Stats.EvacWorkerFaults += E.workerFaults();
+    if (E.workerFaults())
+      ++Stats.EvacSerialRecoveries;
+    if (Ev) {
+      Ev->Workers = Opts.GcThreads;
+      Ev->WorkerFaults = E.workerFaults();
+      Ev->SerialRecovery = E.workerFaults() > 0;
+    }
+  }
 }
 
 void GenerationalCollector::doMinor(size_t NeedTenuredBytes,
@@ -529,8 +420,7 @@ void GenerationalCollector::doMinor(size_t NeedTenuredBytes,
   C.Profiler = Env.Profiler;
   C.CountSurvivedFirst = true;
   C.Telemetry = &Tel;
-  if (usesCardBarrier())
-    C.CrossDest = &CrossMap;
+  C.CrossDest = RS.crossDest();
 
   // Batched root pipeline: gather the heap-side roots (barrier output,
   // pretenured regions, new large objects) into one contiguous span, then
@@ -541,7 +431,7 @@ void GenerationalCollector::doMinor(size_t NeedTenuredBytes,
   // is equivalent to forwarding during enumeration.
   uint64_t SsbBefore = Stats.SSBEntriesProcessed;
   uint64_t CardsBefore = Stats.CardsScanned;
-  uint64_t DirtyBefore = Cards.numDirtyCards();
+  uint64_t DirtyBefore = RS.cards().numDirtyCards();
   {
     TimerScope T(Stats.StackTime); // Root gathering (phases inside).
     RootBatch.clear();
@@ -572,61 +462,10 @@ void GenerationalCollector::doMinor(size_t NeedTenuredBytes,
   uint64_t TenuredUsedBefore = TenuredFrom->usedBytes();
   if (Pool) {
     ParallelEvacuator E(C, *Pool);
-    {
-      TimerScope T(Stats.StackTime); // Root hand-off.
-      GcTelemetry::PhaseScope PS(Tel, GcPhase::RootHandoff);
-      E.addRootSpan(Roots.FreshSlotRoots.data(), Roots.FreshSlotRoots.size());
-      E.addRootSpan(RegRootAddrs.data(), RegRootAddrs.size());
-      if (ProcessReused)
-        E.addRootSpan(Roots.ReusedSlotRoots.data(),
-                      Roots.ReusedSlotRoots.size());
-      E.addRootSpan(CrossGenSlots.data(), CrossGenSlots.size());
-      E.addRootSpan(RootBatch.data(), RootBatch.size());
-    }
-    {
-      TimerScope T(Stats.CopyTime);
-      GcTelemetry::PhaseScope PS(Tel, GcPhase::Copy);
-      E.run();
-    }
-    Stats.BytesCopied += E.bytesCopied();
-    Stats.ObjectsCopied += E.objectsCopied();
-    Stats.CrossingMapUpdates += E.crossingMapUpdates();
-    Stats.EvacWorkerFaults += E.workerFaults();
-    if (E.workerFaults())
-      ++Stats.EvacSerialRecoveries;
-    if (GcEvent *Ev = Tel.currentEvent()) {
-      Ev->BytesCopied = E.bytesCopied();
-      Ev->ObjectsCopied = E.objectsCopied();
-      Ev->Workers = Opts.GcThreads;
-      Ev->WorkerFaults = E.workerFaults();
-      Ev->SerialRecovery = E.workerFaults() > 0;
-    }
+    runEvacuation(E, /*Major=*/false, ProcessReused);
   } else {
     Evacuator E(C);
-    {
-      TimerScope T(Stats.StackTime); // Root processing.
-      GcTelemetry::PhaseScope PS(Tel, GcPhase::RootHandoff);
-      E.forwardRootSpan(Roots.FreshSlotRoots.data(),
-                        Roots.FreshSlotRoots.size());
-      E.forwardRootSpan(RegRootAddrs.data(), RegRootAddrs.size());
-      if (ProcessReused)
-        E.forwardRootSpan(Roots.ReusedSlotRoots.data(),
-                          Roots.ReusedSlotRoots.size());
-      E.forwardRootSpan(CrossGenSlots.data(), CrossGenSlots.size());
-      E.forwardRootSpan(RootBatch.data(), RootBatch.size());
-    }
-    {
-      TimerScope T(Stats.CopyTime);
-      GcTelemetry::PhaseScope PS(Tel, GcPhase::Copy);
-      E.drain();
-    }
-    Stats.BytesCopied += E.bytesCopied();
-    Stats.ObjectsCopied += E.objectsCopied();
-    Stats.CrossingMapUpdates += E.crossingMapUpdates();
-    if (GcEvent *Ev = Tel.currentEvent()) {
-      Ev->BytesCopied = E.bytesCopied();
-      Ev->ObjectsCopied = E.objectsCopied();
-    }
+    runEvacuation(E, /*Major=*/false, ProcessReused);
   }
 
   if (AgedTenuring()) {
@@ -647,9 +486,7 @@ void GenerationalCollector::doMinor(size_t NeedTenuredBytes,
     if (AgedTenuring())
       std::swap(NurseryFrom, NurseryTo);
 
-    SSB.clear();
-    Cards.clear();
-    LOSDirtySlots.clear();
+    RS.clearAfterGC();
     Runs.clear();
     NewLargeObjects.clear();
   }
@@ -661,19 +498,12 @@ void GenerationalCollector::doMinor(size_t NeedTenuredBytes,
 
   maybeVerifyHeap("minor");
 
-  if (GcEvent *Ev = Tel.currentEvent()) {
-    // Promote-all minors put every survivor in the tenured generation;
-    // under aged tenuring (or parallel pad waste) the tenured used-delta is
-    // the truthful figure either way.
+  // Promote-all minors put every survivor in the tenured generation; under
+  // aged tenuring (or parallel pad waste) the tenured used-delta is the
+  // truthful figure either way.
+  if (GcEvent *Ev = Tel.currentEvent())
     Ev->BytesPromoted = TenuredFrom->usedBytes() - TenuredUsedBefore;
-    Ev->BytesPretenured = Stats.PretenuredBytes - PretenuredBytesAtLastGC;
-    Ev->CrossingMapUpdates = Stats.CrossingMapUpdates - CrossingUpdatesAtLastGC;
-    Ev->HybridSwitched = HybridSwitchedSinceGC;
-  }
-  PretenuredBytesAtLastGC = Stats.PretenuredBytes;
-  CrossingUpdatesAtLastGC = Stats.CrossingMapUpdates;
-  HybridSwitchedSinceGC = false;
-  Tel.endCollection();
+  endCollectionEvent();
 
   // Tenured pressure: if the next nursery-load might not fit, collect the
   // old generation now (a separate telemetry event — the minor's is
@@ -878,29 +708,8 @@ void GenerationalCollector::doMajorSemispace(size_t NeedTenuredBytes,
       TenuredTo->poisonFreeSpace();
       TenuredToPoisonValid = true;
     }
-
-    if (usesCardBarrier()) {
-      // The card table re-attaches to the (swapped-in) live space; the
-      // crossing map was attached to it before evacuation and stays.
-      Cards.attach(*TenuredFrom);
-      recomputeHybridThreshold();
-      assert(CrossMap.boundTo(*TenuredFrom) &&
-             "crossing map lost the tenured swap");
-    }
-    LOSAllocSinceGC = 0;
   }
-  maybeVerifyHeap("major");
-
-  if (GcEvent *Ev = Tel.currentEvent()) {
-    Ev->BytesPretenured = Stats.PretenuredBytes - PretenuredBytesAtLastGC;
-    Ev->CrossingMapUpdates = Stats.CrossingMapUpdates - CrossingUpdatesAtLastGC;
-    Ev->HybridSwitched = HybridSwitchedSinceGC;
-  }
-  PretenuredBytesAtLastGC = Stats.PretenuredBytes;
-  CrossingUpdatesAtLastGC = Stats.CrossingMapUpdates;
-  HybridSwitchedSinceGC = false;
-  Tel.endCollection();
-  noteFootprint();
+  finishMajorEvent();
 }
 
 void GenerationalCollector::evacuateMajorInto(size_t ReserveBytes) {
@@ -909,12 +718,10 @@ void GenerationalCollector::evacuateMajorInto(size_t ReserveBytes) {
     TenuredTo->reserve(ReserveBytes);
   }
   noteFootprint();
-  // Rebind the crossing map to the destination (after any growth above):
+  // Bind the card overlays to the destination (after any growth above):
   // promotions recorded during this evacuation must survive the swap, so
-  // the map is NOT re-attached afterwards — it already covers the new
-  // TenuredFrom.
-  if (usesCardBarrier())
-    CrossMap.attach(*TenuredTo);
+  // nothing re-binds afterwards — they already cover the new TenuredFrom.
+  RS.rebind(*TenuredTo);
 
   Evacuator::Config C;
   C.From = {NurseryFrom, AgedTenuring() ? NurseryTo : nullptr, TenuredFrom};
@@ -924,99 +731,53 @@ void GenerationalCollector::evacuateMajorInto(size_t ReserveBytes) {
   C.Profiler = Env.Profiler;
   C.CountSurvivedFirst = true;
   C.Telemetry = &Tel;
-  if (usesCardBarrier())
-    C.CrossDest = &CrossMap;
+  C.CrossDest = RS.crossDest();
 
   // Everything moves in a major collection: reused roots are processed,
   // the saving is only the avoided re-decoding of unchanged frames.
   if (Pool) {
     ParallelEvacuator E(C, *Pool);
-    {
-      TimerScope T(Stats.StackTime);
-      GcTelemetry::PhaseScope PS(Tel, GcPhase::RootHandoff);
-      E.addRootSpan(Roots.FreshSlotRoots.data(), Roots.FreshSlotRoots.size());
-      E.addRootSpan(RegRootAddrs.data(), RegRootAddrs.size());
-      E.addRootSpan(Roots.ReusedSlotRoots.data(),
-                    Roots.ReusedSlotRoots.size());
-    }
-    {
-      TimerScope T(Stats.CopyTime);
-      GcTelemetry::PhaseScope PS(Tel, GcPhase::Copy);
-      E.run();
-    }
-    Stats.BytesCopied += E.bytesCopied();
-    Stats.ObjectsCopied += E.objectsCopied();
-    Stats.CrossingMapUpdates += E.crossingMapUpdates();
-    Stats.MajorBytesMoved += E.bytesCopied();
-    Stats.EvacWorkerFaults += E.workerFaults();
-    if (E.workerFaults())
-      ++Stats.EvacSerialRecoveries;
-    if (GcEvent *Ev = Tel.currentEvent()) {
-      Ev->BytesCopied = E.bytesCopied();
-      Ev->ObjectsCopied = E.objectsCopied();
-      Ev->BytesMoved = E.bytesCopied();
-      Ev->Workers = Opts.GcThreads;
-      Ev->WorkerFaults = E.workerFaults();
-      Ev->SerialRecovery = E.workerFaults() > 0;
-    }
+    runEvacuation(E, /*Major=*/true, /*ProcessReused=*/true);
   } else {
     Evacuator E(C);
-    {
-      TimerScope T(Stats.StackTime);
-      GcTelemetry::PhaseScope PS(Tel, GcPhase::RootHandoff);
-      E.forwardRootSpan(Roots.FreshSlotRoots.data(),
-                        Roots.FreshSlotRoots.size());
-      E.forwardRootSpan(RegRootAddrs.data(), RegRootAddrs.size());
-      E.forwardRootSpan(Roots.ReusedSlotRoots.data(),
-                        Roots.ReusedSlotRoots.size());
-    }
-    {
-      TimerScope T(Stats.CopyTime);
-      GcTelemetry::PhaseScope PS(Tel, GcPhase::Copy);
-      E.drain();
-    }
-    Stats.BytesCopied += E.bytesCopied();
-    Stats.ObjectsCopied += E.objectsCopied();
-    Stats.CrossingMapUpdates += E.crossingMapUpdates();
-    Stats.MajorBytesMoved += E.bytesCopied();
-    if (GcEvent *Ev = Tel.currentEvent()) {
-      Ev->BytesCopied = E.bytesCopied();
-      Ev->ObjectsCopied = E.objectsCopied();
-      Ev->BytesMoved = E.bytesCopied();
-    }
+    runEvacuation(E, /*Major=*/true, /*ProcessReused=*/true);
   }
 
   {
     GcTelemetry::PhaseScope ResizePS(Tel, GcPhase::Resize);
 
-    // Sweep the large-object space and account deaths.
-    uint64_t NowKB = allocStampKB();
-    LOS.sweep([&](Word *Payload, Word Descriptor) {
-      (void)Descriptor;
-      if (Env.Profiler) {
-        Word Meta = metaOf(Payload);
-        Env.Profiler->onDeath(meta::site(Meta), NowKB - meta::birthKB(Meta));
-      }
-    });
+    sweepLOS();
     sweepDeaths(*NurseryFrom);
     if (AgedTenuring())
       sweepDeaths(*NurseryTo);
     sweepDeaths(*TenuredFrom);
-
-    NurseryFrom->reset();
-    if (AgedTenuring())
-      NurseryTo->reset();
-    SSB.clear();
-    LOSDirtySlots.clear();
-    Runs.clear();
-    NewLargeObjects.clear();
-    CrossGenSlots.clear(); // A major promotes everything: no old->young left.
-
     std::swap(TenuredFrom, TenuredTo);
-    LiveBytes = TenuredFrom->usedBytes() + LOS.liveBytes();
-    if (LiveBytes > Stats.MaxLiveBytes)
-      Stats.MaxLiveBytes = LiveBytes;
+    resetAfterMajor();
   }
+}
+
+void GenerationalCollector::sweepLOS() {
+  uint64_t NowKB = allocStampKB();
+  LOS.sweep([&](Word *Payload, Word) {
+    if (Env.Profiler) {
+      Word Meta = metaOf(Payload);
+      Env.Profiler->onDeath(meta::site(Meta), NowKB - meta::birthKB(Meta));
+    }
+  });
+}
+
+void GenerationalCollector::resetAfterMajor() {
+  NurseryFrom->reset();
+  if (AgedTenuring())
+    NurseryTo->reset();
+  RS.clearAfterGC();
+  Runs.clear();
+  NewLargeObjects.clear();
+  CrossGenSlots.clear(); // A major promotes everything: no old->young left.
+  LOSAllocSinceGC = 0;
+  LiveBytes = TenuredFrom->usedBytes() + LOS.liveBytes();
+  if (LiveBytes > Stats.MaxLiveBytes)
+    Stats.MaxLiveBytes = LiveBytes;
 }
 
 void GenerationalCollector::doMajorMarkCompact(size_t NeedTenuredBytes,
@@ -1049,8 +810,7 @@ void GenerationalCollector::doMajorMarkCompact(size_t NeedTenuredBytes,
   MCC.LOS = &LOS;
   MCC.Profiler = Env.Profiler;
   MCC.Telemetry = &Tel;
-  if (usesCardBarrier())
-    MCC.CrossDest = &CrossMap;
+  MCC.CrossDest = RS.crossDest();
   MCC.Pool = Pool.get();
   if (Opts.GcDeadlineMicros && Opts.WatchdogEscalation != WatchdogPolicy::Report)
     // Watchdog-requested recovery: mark/plan abort points poll this latch
@@ -1161,29 +921,11 @@ void GenerationalCollector::completeMarkedMajor(MarkCompact &M,
       // consumes. Tenured deaths were reported via forEachDeadTenured above
       // (compaction destroys them); young deaths go through the
       // forwarding-based sweep as usual.
-      LOS.sweep([&](Word *Payload, Word Descriptor) {
-        (void)Descriptor;
-        if (Env.Profiler) {
-          Word Meta = metaOf(Payload);
-          Env.Profiler->onDeath(meta::site(Meta), NowKB - meta::birthKB(Meta));
-        }
-      });
+      sweepLOS();
       sweepDeaths(*NurseryFrom);
       if (AgedTenuring())
         sweepDeaths(*NurseryTo);
-
-      NurseryFrom->reset();
-      if (AgedTenuring())
-        NurseryTo->reset();
-      SSB.clear();
-      LOSDirtySlots.clear();
-      Runs.clear();
-      NewLargeObjects.clear();
-      CrossGenSlots.clear(); // A major promotes everything.
-
-      LiveBytes = TenuredFrom->usedBytes() + LOS.liveBytes();
-      if (LiveBytes > Stats.MaxLiveBytes)
-        Stats.MaxLiveBytes = LiveBytes;
+      resetAfterMajor();
 
       if (TILGC_UNLIKELY(shouldPoison())) {
         NurseryFrom->poisonFreeSpace();
@@ -1194,17 +936,6 @@ void GenerationalCollector::completeMarkedMajor(MarkCompact &M,
         // it never arms the TenuredToPoisonValid wild-write check.
         TenuredFrom->poisonFreeSpace();
       }
-
-      if (usesCardBarrier()) {
-        // No old->young edges survive a major, so re-attaching (which
-        // clears every card) is correct — same as the semispace swap. The
-        // crossing map was rebuilt over the compacted layout by compact().
-        Cards.attach(*TenuredFrom);
-        recomputeHybridThreshold();
-        assert(CrossMap.boundTo(*TenuredFrom) &&
-               "crossing map lost the compaction");
-      }
-      LOSAllocSinceGC = 0;
     }
   } else {
     // The plan does not fit: grow through one evacuating swap, releasing
@@ -1213,14 +944,7 @@ void GenerationalCollector::completeMarkedMajor(MarkCompact &M,
     // the evacuation's TraceLOS re-marking needs clean mark bits.
     {
       GcTelemetry::PhaseScope ResizePS(Tel, GcPhase::Resize);
-      uint64_t NowKB = allocStampKB();
-      LOS.sweep([&](Word *Payload, Word Descriptor) {
-        (void)Descriptor;
-        if (Env.Profiler) {
-          Word Meta = metaOf(Payload);
-          Env.Profiler->onDeath(meta::site(Meta), NowKB - meta::birthKB(Meta));
-        }
-      });
+      sweepLOS();
     }
 
     size_t Desired = static_cast<size_t>(
@@ -1262,51 +986,32 @@ void GenerationalCollector::completeMarkedMajor(MarkCompact &M,
       Ev->RegionsEvacuated = static_cast<uint32_t>(M.regionsEvacuated());
     }
 
-    evacuateMajorInto(Desired);
-
-    {
-      GcTelemetry::PhaseScope ResizePS(Tel, GcPhase::Resize);
-      // Drop the swap's source: mark-compact keeps one standing tenured
-      // space, so the old reservation is released rather than recycled.
-      TenuredTo->release();
-      // Fresh reservation, fresh epoch: the region overlay must re-bind to
-      // the grown space (the crossing map was attached to it before the
-      // evacuation and stays).
-      Regions.attach(*TenuredFrom);
-
-      if (TILGC_UNLIKELY(shouldPoison())) {
-        NurseryFrom->poisonFreeSpace();
-        if (AgedTenuring())
-          NurseryTo->poisonFreeSpace();
-        TenuredFrom->poisonFreeSpace();
-      }
-      if (usesCardBarrier()) {
-        Cards.attach(*TenuredFrom);
-        recomputeHybridThreshold();
-        assert(CrossMap.boundTo(*TenuredFrom) &&
-               "crossing map lost the tenured swap");
-      }
-      LOSAllocSinceGC = 0;
-    }
+    evacuateAndReleaseOld(Desired);
   }
 }
 
 /// Closes out a major collection event: verification, deterministic event
-/// fields, telemetry end, footprint sample. Shared by the mark-compact
-/// paths (success, failover, sticky fallback).
+/// fields, telemetry end, footprint sample. Shared by every major path
+/// (semispace, mark-compact success, failover, sticky fallback).
 void GenerationalCollector::finishMajorEvent() {
+  // Every major either evacuated into a space the remembered set was
+  // re-bound to, or compacted in place (same reservation).
+  assert(RS.boundTo(*TenuredFrom) && "remembered set lost the tenured space");
   maybeVerifyHeap("major");
+  endCollectionEvent();
+  noteFootprint();
+}
 
+void GenerationalCollector::endCollectionEvent() {
+  bool Switched = RS.takeSwitchedLatch();
   if (GcEvent *Ev = Tel.currentEvent()) {
     Ev->BytesPretenured = Stats.PretenuredBytes - PretenuredBytesAtLastGC;
     Ev->CrossingMapUpdates = Stats.CrossingMapUpdates - CrossingUpdatesAtLastGC;
-    Ev->HybridSwitched = HybridSwitchedSinceGC;
+    Ev->HybridSwitched = Switched;
   }
   PretenuredBytesAtLastGC = Stats.PretenuredBytes;
   CrossingUpdatesAtLastGC = Stats.CrossingMapUpdates;
-  HybridSwitchedSinceGC = false;
   Tel.endCollection();
-  noteFootprint();
 }
 
 void GenerationalCollector::runMajorEvacuationFallback(size_t NeedTenuredBytes) {
@@ -1338,29 +1043,23 @@ void GenerationalCollector::runMajorEvacuationFallback(size_t NeedTenuredBytes) 
     }
   }
 
-  evacuateMajorInto(Reserve);
+  evacuateAndReleaseOld(Reserve);
+}
 
-  {
-    GcTelemetry::PhaseScope ResizePS(Tel, GcPhase::Resize);
-    // Drop the swap's source and re-bind the region overlay to the live
-    // space — also discarding any partial mark/plan state the aborted
-    // engine left in the overlay.
-    TenuredTo->release();
-    Regions.attach(*TenuredFrom);
-
-    if (TILGC_UNLIKELY(shouldPoison())) {
-      NurseryFrom->poisonFreeSpace();
-      if (AgedTenuring())
-        NurseryTo->poisonFreeSpace();
-      TenuredFrom->poisonFreeSpace();
-    }
-    if (usesCardBarrier()) {
-      Cards.attach(*TenuredFrom);
-      recomputeHybridThreshold();
-      assert(CrossMap.boundTo(*TenuredFrom) &&
-             "crossing map lost the failover swap");
-    }
-    LOSAllocSinceGC = 0;
+void GenerationalCollector::evacuateAndReleaseOld(size_t ReserveBytes) {
+  evacuateMajorInto(ReserveBytes);
+  GcTelemetry::PhaseScope ResizePS(Tel, GcPhase::Resize);
+  // Drop the swap's source: mark-compact keeps one standing tenured space,
+  // so the old reservation is released rather than recycled. The fresh
+  // reservation has a fresh epoch, so the region overlay re-binds to it,
+  // which also discards any partial mark/plan state an aborted engine left.
+  TenuredTo->release();
+  Regions.attach(*TenuredFrom);
+  if (TILGC_UNLIKELY(shouldPoison())) {
+    NurseryFrom->poisonFreeSpace();
+    if (AgedTenuring())
+      NurseryTo->poisonFreeSpace();
+    TenuredFrom->poisonFreeSpace();
   }
 }
 
@@ -1417,7 +1116,7 @@ void GenerationalCollector::appendHeapState(std::string &Out) const {
                       LOS.liveBytes(), LOS.objectCount());
   Out += formatString("  pending: %zu SSB entries, %zu pretenured runs, %zu "
                       "new large objects\n",
-                      SSB.size(), Runs.size(), NewLargeObjects.size());
+                      RS.log().size(), Runs.size(), NewLargeObjects.size());
 }
 
 void GenerationalCollector::forEachLiveObject(
@@ -1469,8 +1168,7 @@ void GenerationalCollector::startIncrementalCycle(bool RescanRoots) {
   MCC.LOS = &LOS;
   MCC.Profiler = Env.Profiler;
   MCC.Telemetry = &Tel;
-  if (usesCardBarrier())
-    MCC.CrossDest = &CrossMap;
+  MCC.CrossDest = RS.crossDest();
   MCC.Pool = Pool.get();
   // No AbortFlag: slices poll the watchdog's recover request themselves and
   // answer it with a stop-the-world finish, not an engine abort — the

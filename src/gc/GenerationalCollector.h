@@ -14,8 +14,9 @@
 ///    or the aged-tenuring ablation of §7.2 where survivors bounce between
 ///    nursery semispaces until they have survived PromoteAgeThreshold minor
 ///    collections;
-///  * a sequential store buffer write barrier (or the card-marking
-///    alternative suggested for Peg);
+///  * a write barrier feeding one remembered set (gc/RememberedSet.h): the
+///    paper's sequential store buffer, or the card marking it suggests for
+///    Peg, as policies of one slot-log + card-table mechanism;
 ///  * a mark-sweep large-object space for big arrays;
 ///  * generational stack collection (§5): stack markers + scan cache, so
 ///    minor collections skip unchanged frames entirely;
@@ -32,7 +33,7 @@
 
 #include "gc/Collector.h"
 #include "gc/GcOptions.h"
-#include "heap/CardTable.h"
+#include "gc/RememberedSet.h"
 #include "heap/LargeObjectSpace.h"
 #include "heap/RegionManager.h"
 #include "heap/Space.h"
@@ -64,7 +65,7 @@ public:
 
   Word *allocate(ObjectKind Kind, uint32_t LenWords, uint32_t PtrMask,
                  uint32_t SiteId) override;
-  void writeBarrier(Word *Slot) override;
+  void writeBarrier(Word *Slot) override { RS.record(Slot); }
   void collect(bool Major) override;
   uint64_t liveBytesAfterLastGC() const override { return LiveBytes; }
   MarkerManager *markerManager() override {
@@ -82,21 +83,8 @@ public:
   bool inTenured(const Word *P) const { return TenuredFrom->contains(P); }
   bool inLOS(const Word *P) const { return LOS.contains(P); }
   const LargeObjectSpace &largeObjectSpace() const { return LOS; }
-  const StoreBuffer &storeBuffer() const { return SSB; }
-  const CardTable &cardTable() const { return Cards; }
-  const CrossingMap &crossingMap() const { return CrossMap; }
+  const RememberedSet &rememberedSet() const { return RS; }
   size_t nurseryCapacity() const { return NurseryFrom->capacityBytes(); }
-
-  /// Hybrid-barrier flood heuristic: the barrier degrades SSB→cards when
-  /// the pending SSB grows past HybridFloodFactor × the covered space's
-  /// card count (an SSB already denser than the dirtiest possible card
-  /// table has lost its precision advantage).
-  static constexpr uint64_t HybridFloodFactor = 4;
-  /// True once the Hybrid barrier has degraded to card marking (sticky for
-  /// the collector's lifetime; always false for other barrier kinds).
-  bool hybridInCardMode() const { return HybridCardMode; }
-  /// Current SSB-entry count that trips the hybrid switch.
-  uint64_t hybridFloodThreshold() const { return HybridFloodEntries; }
 
   /// Mutator fast path: non-pretenured sites bump-allocate into the
   /// nursery; pretenured sites (and large arrays, via the size bound) take
@@ -165,13 +153,32 @@ private:
   /// spaces and clears collection-scoped state. Used by the semispace major
   /// and the mark-compact growth fallback.
   void evacuateMajorInto(size_t ReserveBytes);
+  /// Mark-compact's evacuating swap (growth fallback, engine failover):
+  /// evacuateMajorInto, then release the old space and re-bind the region
+  /// overlay, so the 2x reservation is transient rather than standing.
+  void evacuateAndReleaseOld(size_t ReserveBytes);
+  /// Runs one evacuation on the serial or the parallel engine: hands off
+  /// the root spans in the serial order (stack, registers, reused frames
+  /// when \p ProcessReused, and for a minor the promotion-created slots and
+  /// the heap-side batch), copies, and folds the totals into the stats and
+  /// the open event.
+  template <typename EngineT>
+  void runEvacuation(EngineT &E, bool Major, bool ProcessReused);
   /// Samples Stats.MaxFootprintBytes against the current footprint.
   void noteFootprint();
+  /// Sweeps the large-object space, reporting deaths to the profiler.
+  void sweepLOS();
+  /// After any major: empties the young generation and every
+  /// collection-scoped root set, and samples the live size.
+  void resetAfterMajor();
 
   /// Closes out a major collection event (verify, deterministic event
-  /// fields, endCollection, footprint) — shared by the mark-compact
-  /// success/failover/sticky paths.
+  /// fields, endCollection, footprint) — shared by every major path.
   void finishMajorEvent();
+  /// Stamps the per-collection deltas every minor and major event carries
+  /// (pretenured bytes, crossing-map updates, the hybrid switch latch) and
+  /// closes the event.
+  void endCollectionEvent();
 
   /// Semispace-for-this-collection failover/fallback body: hard-cap
   /// pre-flight, evacuating swap, transient to-space released, region
@@ -206,44 +213,6 @@ private:
   /// \p Fn(Word *Slot). Shared by the serial path (Fn forwards the slot
   /// immediately) and the parallel one (Fn queues it as a root batch).
   template <typename SlotFn> void forEachOldToYoungRoot(SlotFn Fn);
-
-  /// True for the barrier kinds that maintain the card table + crossing
-  /// map (CardMarking always; Hybrid from construction, so promotions that
-  /// precede a switch are already covered when the switch happens).
-  bool usesCardBarrier() const {
-    return Opts.Barrier == BarrierKind::CardMarking ||
-           Opts.Barrier == BarrierKind::Hybrid;
-  }
-  /// True while stores actually dirty cards (CardMarking, or Hybrid after
-  /// its flood switch).
-  bool cardModeActive() const {
-    return Opts.Barrier == BarrierKind::CardMarking || HybridCardMode;
-  }
-  /// The card-mode record, shared by the CardMarking barrier, the Hybrid
-  /// barrier after its switch, and the switch's SSB replay: young-object
-  /// slots need no remembering, tenured slots dirty a card, large-object
-  /// slots go to a small side buffer.
-  void recordCardSlot(Word *Slot) {
-    if (inNursery(Slot))
-      return;
-    if (TenuredFrom->contains(Slot))
-      Cards.mark(Slot);
-    else
-      LOSDirtySlots.push_back(Slot);
-  }
-  /// Recomputes the hybrid flood threshold from the covered space's card
-  /// count (called whenever the card table re-attaches).
-  void recomputeHybridThreshold() {
-    HybridFloodEntries = HybridFloodFactor * Cards.numCards();
-  }
-  /// The Hybrid barrier's SSB→card degradation: replays pending SSB
-  /// entries into card marks (or the LOS side buffer) and flips the
-  /// barrier into card mode for the rest of the collector's lifetime.
-  void hybridSwitchToCards();
-  /// Scans all dirty cards into \p Fn, striping across the worker pool
-  /// when the dirty count justifies it. Emission order is identical to a
-  /// serial full scan for any stripe partition.
-  template <typename SlotFn> void sweepDirtyCards(SlotFn Fn);
 
   /// Registers a pretenured allocation for the next region scan.
   void notePretenuredRun(Word *Payload, Word Descriptor, bool NoScan);
@@ -342,14 +311,14 @@ private:
   Space *TenuredFrom = &TenuredA;
   Space *TenuredTo = &TenuredB;
   LargeObjectSpace LOS;
-  StoreBuffer SSB;
-  CardTable Cards;
-  CrossingMap CrossMap; ///< Object starts for TenuredFrom's cards.
+  /// Present only when Opts.GcThreads > 1.
+  std::unique_ptr<WorkerPool> Pool;
+  /// The write barrier's output: old->young slots for the next minor.
+  RememberedSet RS;
   /// Region overlay over TenuredFrom (mark-compact mode only). Re-attached
   /// whenever the tenured space is re-reserved (growth fallback), under the
   /// same epoch-binding contract as the card table and crossing map.
   RegionManager Regions;
-  std::vector<Word *> LOSDirtySlots; ///< Card-mode overflow for LOS slots.
   MarkerManager Markers;
   ScanCache Cache;
 
@@ -391,22 +360,9 @@ private:
   uint64_t PretenuredBytesAtLastGC = 0;
   /// Stats.CrossingMapUpdates watermark (same per-collection-delta role).
   uint64_t CrossingUpdatesAtLastGC = 0;
-  /// Hybrid barrier state: sticky card-mode flag, the per-event "switched
-  /// since the last collection" latch, and the current flood threshold.
-  bool HybridCardMode = false;
-  bool HybridSwitchedSinceGC = false;
-  uint64_t HybridFloodEntries = 0;
-  /// Parallel card sweep: stripes with at least this many dirty cards in
-  /// total go to the worker pool; below it the serial scan is cheaper than
-  /// the fork/join.
-  static constexpr size_t ParallelSweepMinDirtyCards = 64;
-  /// Per-worker scratch for the parallel card sweep (capacity reused).
-  std::vector<std::vector<Word *>> SweepScratch;
   /// True while TenuredTo sits idle fully poisoned (checked for wild
   /// writes at the next major's entry).
   bool TenuredToPoisonValid = false;
-  /// Present only when Opts.GcThreads > 1.
-  std::unique_ptr<WorkerPool> Pool;
   /// GC-cycle supervisor; its thread starts lazily on the first armed
   /// window, so a zero deadline never pays for it.
   Watchdog WD;

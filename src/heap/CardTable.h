@@ -89,7 +89,6 @@ public:
       Dirty[C] = 1;
       ++NumDirty;
     }
-    ++MarksRecorded;
   }
 
   void clear() {
@@ -195,8 +194,6 @@ public:
 
   size_t numDirtyCards() const { return NumDirty; }
 
-  uint64_t marksRecorded() const { return MarksRecorded; }
-
   size_t cardOf(const Word *P) const {
     return static_cast<size_t>(reinterpret_cast<const char *>(P) -
                                reinterpret_cast<const char *>(Base)) /
@@ -208,7 +205,6 @@ private:
   uint64_t Epoch = 0;
   std::vector<uint8_t> Dirty;
   size_t NumDirty = 0;
-  uint64_t MarksRecorded = 0;
 };
 
 } // namespace tilgc

@@ -9,10 +9,10 @@
 /// mutator unconditionally appends the address of every mutated pointer slot;
 /// the collector filters the buffer at each collection. Duplicates are NOT
 /// removed — that is precisely the pathology the paper observes on Peg
-/// (2.97M pointer updates flooding root processing). The card-table
-/// variant in heap/CardTable.h implements the suggested fix, and the
-/// Hybrid barrier watches this buffer's size to degrade to cards
-/// automatically when it floods (replaying pending entries at the switch).
+/// (2.97M pointer updates flooding root processing). This is the slot log
+/// of gc/RememberedSet.h, which puts an optional old->young filter in front
+/// of it and, under the Hybrid policy, replays it into card marks and
+/// releases it once it floods.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,10 +54,6 @@ public:
   /// decays geometrically once the flood subsides. Duplicate-keeping
   /// semantics are unchanged — this touches only the backing allocation.
   void clear() {
-    if (ShrinkDisabled) {
-      Entries.clear();
-      return;
-    }
     bool LowFill = Entries.capacity() > ShrinkFloorEntries &&
                    Entries.size() < Entries.capacity() / 4;
     Entries.clear();
@@ -93,18 +89,18 @@ public:
   /// Updates" column).
   uint64_t totalRecorded() const { return TotalRecorded; }
 
-  /// Latches the shrink heuristic off. The Hybrid barrier calls this at its
-  /// sticky SSB->card switch: the buffer will never refill past that point,
-  /// so every later clear() would count as a low-fill clear and the policy
-  /// would churn the capacity of a permanently idle buffer.
-  void disableShrink() { ShrinkDisabled = true; }
+  /// Drops the entries and frees the backing storage (the log is retired
+  /// for good; the lifetime count is kept).
+  void release() {
+    std::vector<Word *>().swap(Entries);
+    LowFillClears = 0;
+  }
 
 private:
   std::vector<Word *> Entries;
   uint64_t TotalRecorded = 0;
   uint64_t ShrinkCount = 0;
   unsigned LowFillClears = 0;
-  bool ShrinkDisabled = false;
 };
 
 /// SATB (snapshot-at-the-beginning) deletion buffer for the incremental

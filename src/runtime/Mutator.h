@@ -190,12 +190,13 @@ public:
     if (IsPointerField) {
       ++NumPointerUpdates;
       if (TILGC_UNLIKELY(Group != nullptr)) {
-        // Multi-mutator mode: the shared barrier state (SSB, card table,
-        // hybrid latch) is not thread-safe, so slots buffer thread-locally
-        // and replay through the real barrier at the next safepoint merge
-        // (world stopped, thread-index order). Semantically equivalent for
-        // every barrier kind: SSB/cards dedupe or tolerate late recording,
-        // and the filtered/hybrid checks see the slot's final pre-GC state.
+        // Multi-mutator mode: the shared remembered set (slot log, card
+        // table, switch policy) is not thread-safe, so slots buffer
+        // thread-locally and replay through the real barrier at the next
+        // safepoint merge (world stopped, thread-index order). Semantically
+        // equivalent for every barrier kind: the log and the cards tolerate
+        // late recording, and the filter and the hybrid's switch see the
+        // slot's final pre-GC state.
         if (RecordLocalBarrier)
           LocalSSB.push_back(Slot);
       } else {

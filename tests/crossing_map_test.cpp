@@ -198,7 +198,7 @@ TEST(CrossingMapGc, ScanCostBoundedByDirtyCardsNotLiveData) {
   F.set(2, consInt(M, cmSite(), 777, slot(F, 3)));
   M.writeField(F.get(1), 1, F.get(2), /*IsPointerField=*/true);
   F.set(2, Value::null());
-  ASSERT_EQ(GC.cardTable().numDirtyCards(), 1u);
+  ASSERT_EQ(GC.rememberedSet().cards().numDirtyCards(), 1u);
   M.collect(false);
 
   EXPECT_LE(S.CardsScanned - CardsBefore, 2u)
@@ -347,7 +347,7 @@ TEST_P(CrossingMapParallel, PromotionMaintainsMapUnderParallelEvacuation) {
   }
   F.set(2, Value::null());
   F.set(3, Value::null());
-  ASSERT_GT(GC.cardTable().numDirtyCards(), 8u);
+  ASSERT_GT(GC.rememberedSet().cards().numDirtyCards(), 8u);
   M.collect(false);
 
   // Every child survived through its card alone, with its payload intact.

@@ -234,8 +234,8 @@ TEST(HybridBarrierTest, FloodDegradesToCardsWithoutLosingPendingEntries) {
   F.set(1, M.allocPtrArray(siteGc(), 256));
   M.collect(false);
   ASSERT_TRUE(GC.inTenured(F.get(1).asPtr()));
-  ASSERT_FALSE(GC.hybridInCardMode());
-  uint64_t Threshold = GC.hybridFloodThreshold();
+  ASSERT_FALSE(GC.rememberedSet().inCardMode());
+  uint64_t Threshold = GC.rememberedSet().floodThreshold();
   ASSERT_GT(Threshold, 0u);
 
   // A young child reachable ONLY through a pre-switch SSB entry: the switch
@@ -248,8 +248,9 @@ TEST(HybridBarrierTest, FloodDegradesToCardsWithoutLosingPendingEntries) {
   // capacity of the whole tenured space.
   for (uint64_t I = 0; I <= Threshold; ++I)
     M.writeField(F.get(1), 100, Value::null(), /*IsPointerField=*/true);
-  EXPECT_TRUE(GC.hybridInCardMode()) << "flood heuristic never tripped";
-  EXPECT_EQ(GC.storeBuffer().size(), 0u) << "pending SSB not drained";
+  EXPECT_TRUE(GC.rememberedSet().inCardMode())
+      << "flood heuristic never tripped";
+  EXPECT_EQ(GC.rememberedSet().log().size(), 0u) << "pending SSB not drained";
   EXPECT_EQ(M.gcStats().HybridSwitches, 1u);
   EXPECT_EQ(M.gcStats().HybridSwitchEpoch, M.gcStats().NumGC + 1);
 
@@ -261,9 +262,32 @@ TEST(HybridBarrierTest, FloodDegradesToCardsWithoutLosingPendingEntries) {
 
   // The switch is sticky: further stores keep dirtying cards, not the SSB.
   M.writeField(F.get(1), 100, Value::null(), /*IsPointerField=*/true);
-  EXPECT_EQ(GC.storeBuffer().size(), 0u);
-  EXPECT_TRUE(GC.hybridInCardMode());
+  EXPECT_EQ(GC.rememberedSet().log().size(), 0u);
+  EXPECT_TRUE(GC.rememberedSet().inCardMode());
   EXPECT_EQ(M.gcStats().HybridSwitches, 1u);
+}
+
+TEST(HybridBarrierTest, FloodSwitchReleasesTheSlotLog) {
+  // After the switch the slot log is never written again, so it must not
+  // keep its flood-sized storage for the collector's lifetime.
+  MutatorConfig C;
+  C.BudgetBytes = 4u << 20;
+  C.Barrier = GenerationalCollector::BarrierKind::Hybrid;
+  Mutator M(C);
+  auto &GC = static_cast<GenerationalCollector &>(M.collector());
+  Frame F(M, keyGc());
+  F.set(1, M.allocPtrArray(siteGc(), 256));
+  M.collect(false);
+  uint64_t Threshold = GC.rememberedSet().floodThreshold();
+  ASSERT_GT(Threshold, StoreBuffer::ShrinkFloorEntries)
+      << "the flood must outgrow the log's floor capacity";
+  for (uint64_t I = 0; I <= Threshold; ++I)
+    M.writeField(F.get(1), 100, Value::null(), /*IsPointerField=*/true);
+  ASSERT_TRUE(GC.rememberedSet().inCardMode());
+  for (int I = 0; I < 4; ++I)
+    M.collect(false);
+  EXPECT_LE(GC.rememberedSet().log().capacityEntries(),
+            StoreBuffer::ShrinkFloorEntries);
 }
 
 TEST(HybridBarrierTest, QuietWorkloadStaysPreciseSsb) {
@@ -283,7 +307,7 @@ TEST(HybridBarrierTest, QuietWorkloadStaysPreciseSsb) {
         F.set(1, Value::null());
     }
     auto &GC = static_cast<GenerationalCollector &>(M.collector());
-    EXPECT_FALSE(GC.hybridInCardMode());
+    EXPECT_FALSE(GC.rememberedSet().inCardMode());
     EXPECT_EQ(M.gcStats().HybridSwitchEpoch, 0u);
     if (B == GenerationalCollector::BarrierKind::Hybrid) {
       // The card table + crossing map are maintained from construction so
@@ -292,7 +316,7 @@ TEST(HybridBarrierTest, QuietWorkloadStaysPreciseSsb) {
       EXPECT_EQ(M.gcStats().CardsScanned, 0u)
           << "pre-switch hybrid must process roots through the SSB";
     }
-    return GC.storeBuffer().totalRecorded();
+    return GC.rememberedSet().log().totalRecorded();
   };
   uint64_t Ssb = run(GenerationalCollector::BarrierKind::SequentialStoreBuffer);
   uint64_t Hybrid = run(GenerationalCollector::BarrierKind::Hybrid);
@@ -322,18 +346,33 @@ struct RunOutcome {
   std::vector<std::pair<uint32_t, bool>> PretenureSet; // (site, no-scan)
 };
 
+/// Counts collections whose event reports a hybrid log→cards switch.
+struct SwitchCounter : GcObserver {
+  unsigned Switched = 0;
+  void onGcEnd(const GcEvent &E) override { Switched += E.HybridSwitched; }
+};
+
 RunOutcome profiledRun(size_t WIdx, GenerationalCollector::BarrierKind B,
                        unsigned Threads) {
   Workload &W = *allWorkloads()[WIdx];
+  SwitchCounter Switches;
   MutatorConfig C;
   C.Kind = CollectorKind::Generational;
   C.BudgetBytes = 1u << 20;
   C.Barrier = B;
   C.GcThreads = Threads;
   C.EnableProfiling = true;
+  C.Observer = &Switches;
   Mutator M(C);
   RunOutcome R;
   R.Checksum = W.run(M, BarrierDiffScale);
+  if (B != GenerationalCollector::BarrierKind::Hybrid) {
+    // Only the hybrid policy switches; CardMarking starts in card mode,
+    // which is not a switch.
+    EXPECT_EQ(M.gcStats().HybridSwitches, 0u) << W.name();
+    EXPECT_EQ(M.gcStats().HybridSwitchEpoch, 0u) << W.name();
+    EXPECT_EQ(Switches.Switched, 0u) << W.name();
+  }
   const HeapProfiler *P = M.profiler();
   R.ProfiledAllocBytes = P->totalAllocBytes();
   R.ProfiledCopiedBytes = P->totalCopiedBytes();
@@ -378,9 +417,10 @@ TEST_P(BarrierDifferential, AllWorkloadsMatchSerialSsb) {
         << W.name() << " under " << TC.Name;
     EXPECT_EQ(Got.ProfiledAllocBytes, Baseline[WIdx].ProfiledAllocBytes)
         << W.name() << " under " << TC.Name;
-    if (TC.Threads == 1)
+    if (TC.Threads == 1) {
       EXPECT_EQ(Got.ProfiledCopiedBytes, Baseline[WIdx].ProfiledCopiedBytes)
           << W.name() << " under " << TC.Name;
+    }
     EXPECT_EQ(Got.PretenureSet, Baseline[WIdx].PretenureSet)
         << W.name() << " under " << TC.Name << ": pretenure set diverged";
   }

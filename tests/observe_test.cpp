@@ -248,28 +248,6 @@ TEST(StoreBufferShrink, HighFillNeverShrinks) {
   EXPECT_EQ(SSB.shrinks(), 0u);
 }
 
-TEST(StoreBufferShrink, DisableShrinkLatchesOffDecay) {
-  // Regression: after the hybrid barrier switches to card marking the SSB
-  // is drained once per minor and then sits near-empty forever, which the
-  // decay policy read as "quiet epochs" — it kept halving a buffer that
-  // the next flood-shaped phase would have to regrow while switched. The
-  // switch now latches shrinking off; quiet clears must not decay it.
-  StoreBuffer SSB;
-  Word Dummy = 0;
-  for (int I = 0; I < 200000; ++I)
-    SSB.record(&Dummy);
-  SSB.clear();
-  size_t FloodCap = SSB.capacityEntries();
-  SSB.disableShrink();
-  for (unsigned C = 0; C < StoreBuffer::ShrinkAfterClears * 4; ++C) {
-    for (int I = 0; I < 4; ++I)
-      SSB.record(&Dummy);
-    SSB.clear();
-  }
-  EXPECT_EQ(SSB.shrinks(), 0u) << "latched-off buffer still decayed";
-  EXPECT_EQ(SSB.capacityEntries(), FloodCap);
-}
-
 //===----------------------------------------------------------------------===//
 // GcTelemetry unit behavior.
 //===----------------------------------------------------------------------===//
@@ -675,10 +653,10 @@ TEST(ObserveHybrid, SwitchLatchAppearsOnExactlyOneEvent) {
     Frame F(M, obsRootsKey());
     F.set(1, M.allocPtrArray(obsSite(0), 256));
     M.collect(/*Major=*/false); // Tenure the flood target.
-    ASSERT_FALSE(GC.hybridInCardMode());
-    for (uint64_t I = 0; I <= GC.hybridFloodThreshold(); ++I)
+    ASSERT_FALSE(GC.rememberedSet().inCardMode());
+    for (uint64_t I = 0; I <= GC.rememberedSet().floodThreshold(); ++I)
       M.writeField(F.get(1), 9, Value::null(), /*IsPointerField=*/true);
-    ASSERT_TRUE(GC.hybridInCardMode());
+    ASSERT_TRUE(GC.rememberedSet().inCardMode());
     M.collect(/*Major=*/false); // First post-switch event.
     M.collect(/*Major=*/false); // Latch must not stick to later events.
   }
