@@ -3,9 +3,10 @@
 // Part of the tilgc project (PLDI'98 GC reproduction).
 //
 // Microbenchmarks for the primitive costs behind the tables: allocation
-// sequences, frame push/pop, write-barrier flavors, and the stack-scan cost
-// as a function of depth — with and without generational stack collection,
-// which is the per-collection cost Table 5 aggregates.
+// sequences, frame push/pop, raise to a handler, write-barrier flavors, and
+// the stack-scan cost as a function of depth — with and without
+// generational stack collection, which is the per-collection cost Table 5
+// aggregates.
 //
 //===----------------------------------------------------------------------===//
 
@@ -88,6 +89,26 @@ void BM_FramePushPop(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_FramePushPop);
+
+/// The callee half of BM_RaiseToHandler: pushes its frame and raises.
+[[gnu::noinline]] MLRaise raiseFromCallee(Mutator &M) {
+  Frame Callee(M, microKey());
+  return M.raise(Value::fromInt(1));
+}
+
+/// One ML raise from a callee frame to its caller's handler, Peg's
+/// per-node pattern: install the handler, call, raise, and land back at
+/// the handler site with the callee's frame cut.
+void BM_RaiseToHandler(benchmark::State &State) {
+  Mutator M(genConfig());
+  Frame Caller(M, microKey());
+  for (auto _ : State) {
+    uint64_t H = M.pushHandler(Caller.base());
+    benchmark::DoNotOptimize(M.caught(raiseFromCallee(M), H).bits());
+  }
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_RaiseToHandler);
 
 /// Per-store cost of each write-barrier policy against an old target. The
 /// remembered set is drained every 64K stores with the timer paused, so

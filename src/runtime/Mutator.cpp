@@ -18,13 +18,17 @@
 
 using namespace tilgc;
 
+static const char *nameOf(const MutatorConfig &C) {
+  return C.Name.empty() ? "<unnamed>" : C.Name.c_str();
+}
+
 Mutator::Mutator(const MutatorConfig &Config) : Config(Config) {
   if (Config.MaxPauseMicros > 0 &&
       (Config.Kind != CollectorKind::Generational ||
        Config.MajorGc != MajorGcKind::MarkCompact))
     fatalError("%s: MaxPauseMicros needs the generational collector with "
                "MajorGc = MarkCompact",
-               Config.Name.empty() ? "<unnamed>" : Config.Name.c_str());
+               nameOf(Config));
   if (Config.EnableProfiling)
     Profiler = std::make_unique<HeapProfiler>();
 
@@ -182,8 +186,12 @@ void Mutator::runStub(size_t Base) {
 
 void Mutator::popFrameUnwinding(size_t Base) {
   if (!Stack.isTop(Base)) {
-    assert(std::uncaught_exceptions() > 0 &&
-           "popping a frame that is not on top");
+    if (TILGC_UNLIKELY(Base < Stack.topSlot()))
+      fatalError("mutator '%s' popped the frame at slot %zu out of order: "
+                 "it is not on top (top frame at slot %zu, %zu frames) and "
+                 "no raise cut it",
+                 nameOf(Config), Base, Stack.empty() ? size_t{0} : Stack.topFrameBase(),
+                 Stack.frameCount());
     return;
   }
   assert(std::uncaught_exceptions() > 0 &&
@@ -193,15 +201,15 @@ void Mutator::popFrameUnwinding(size_t Base) {
   popTopFrame(Base);
 }
 
-void Mutator::raise(Value Exn) {
+MLRaise Mutator::raise(Value Exn) {
   // An uncaught ML exception is a workload bug, but one that must die
   // loudly and identifiably in every build mode — the NDEBUG alternative
   // is unwinding through an empty handler stack into memory corruption.
   if (TILGC_UNLIKELY(Handlers.empty()))
     fatalError("uncaught ML exception in mutator '%s': handler stack empty "
                "at raise #%llu with %zu live frames",
-               Config.Name.empty() ? "<unnamed>" : Config.Name.c_str(),
-               (unsigned long long)(NumRaises + 1), Stack.frameCount());
+               nameOf(Config), (unsigned long long)(NumRaises + 1),
+               Stack.frameCount());
   HandlerEntry H = Handlers.back();
   Handlers.pop_back();
   ++NumRaises;
@@ -211,7 +219,7 @@ void Mutator::raise(Value Exn) {
   MarkerManager *MM = GC->markerManager();
   uint32_t Key =
       MM ? MM->resolveKey(Stack, H.FrameBase) : Stack.keyOf(H.FrameBase);
-  uint32_t NumSlots = TraceTableRegistry::global().lookup(Key).numSlots();
+  uint32_t NumSlots = Registry.frameSize(Key);
 
   // Control jumps past the intervening frames without executing their
   // returns: retire jumped-over markers and update the watermark M (§5).
@@ -219,5 +227,11 @@ void Mutator::raise(Value Exn) {
     MM->onUnwind(H.FrameBase);
   Stack.unwindTo(H.FrameBase, NumSlots);
 
-  throw MLRaise{Exn, H.Id};
+  return MLRaise{Exn, H.Id};
+}
+
+void Mutator::fatalHandlerMismatch(uint64_t Got, uint64_t Want) const {
+  fatalError("mutator '%s': a raise for handler #%llu reached the site of "
+             "handler #%llu",
+             nameOf(Config), (unsigned long long)Got, (unsigned long long)Want);
 }

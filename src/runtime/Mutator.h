@@ -28,11 +28,25 @@
 ///
 /// Mutator::raise unwinds the shadow stack directly to the innermost
 /// handler — one jump, exactly like a compiled `raise` — retiring
-/// jumped-over stack markers and updating the watermark M (paper §5). The
-/// C++ stack is unwound by a (contained) C++ exception; the destructors of
-/// the cut Frames find their frame no longer on top and skip their pop.
-/// Any other C++ exception (HeapExhausted, say) unwinds the shadow stack
-/// frame by frame as it unwinds the C++ stack, dropping the handlers of the
+/// jumped-over stack markers and updating the watermark M (paper §5). It
+/// then returns an MLRaise token, and the C++ code between the raise and
+/// the handler returns that token in turn: no C++ exception is thrown. The
+/// destructors of the cut Frames find their frame at or above the stack's
+/// new top and skip their pop. The handler site checks that the token names
+/// its own handler (Mutator::caught):
+///
+/// \code
+///   MLRaise callee(Mutator &M) {   // never returns normally
+///     Frame F(M, KeyCallee);
+///     return M.raise(Value::fromInt(1));
+///   }
+///   ...
+///   uint64_t H = M.pushHandler(F.base());
+///   Value Exn = M.caught(callee(M), H);
+/// \endcode
+///
+/// A real C++ exception (HeapExhausted, say) unwinds the shadow stack frame
+/// by frame as it unwinds the C++ stack, dropping the handlers of the
 /// frames it leaves.
 ///
 //===----------------------------------------------------------------------===//
@@ -79,9 +93,11 @@ struct MutatorConfig : GcOptions {
   size_t TelemetryRingEvents = 4096;
 };
 
-/// The value an SML `raise` transports, plus the handler it targets. Thrown
-/// by Mutator::raise after the shadow stack has already been unwound.
-struct MLRaise {
+/// The value an SML `raise` transports, plus the handler it targets.
+/// Returned by Mutator::raise after the shadow stack has already been
+/// unwound, then returned by every C++ function up to the handler site;
+/// dropping it on the way would lose the raise, hence [[nodiscard]].
+struct [[nodiscard]] MLRaise {
   Value Exn;
   uint64_t HandlerId;
 };
@@ -223,13 +239,12 @@ public:
   //===--------------------------------------------------------------------===
 
   size_t pushFrame(uint32_t Key) {
-    const FrameLayout &L = TraceTableRegistry::global().lookup(Key);
-    return Stack.pushFrame(Key, L.numSlots());
+    return Stack.pushFrame(Key, Registry.frameSize(Key));
   }
 
   /// Pops the frame at \p Base (Frame's destructor). The frame must be on
-  /// top and hold no handler, except while a C++ exception unwinds it; see
-  /// popFrameUnwinding.
+  /// top and hold no handler, unless a raise cut it or a C++ exception
+  /// unwinds it; see popFrameUnwinding.
   void popFrame(size_t Base) {
     bool HoldsHandler = !Handlers.empty() && Handlers.back().FrameBase == Base;
     if (TILGC_UNLIKELY(HoldsHandler || !Stack.isTop(Base))) {
@@ -262,9 +277,20 @@ public:
   }
 
   /// Raises \p Exn: unwinds the shadow stack directly to the innermost
-  /// handler's frame (one jump, as compiled code would), then throws MLRaise
-  /// to unwind the mirrored C++ stack.
-  [[noreturn]] void raise(Value Exn);
+  /// handler's frame (one jump, as compiled code would) and pops that
+  /// handler. Returns the token the C++ code between here and the handler
+  /// site must return to it. With no handler installed it is fatal.
+  MLRaise raise(Value Exn);
+
+  /// The handler site's half of a raise: \p R, returned by the call the
+  /// handler \p Id guarded, must target that handler. Returns the raised
+  /// value. A token for any other handler means a C++ frame between the
+  /// raise and its handler dropped or swapped it, which is fatal.
+  Value caught(const MLRaise &R, uint64_t Id) const {
+    if (TILGC_UNLIKELY(R.HandlerId != Id))
+      fatalHandlerMismatch(R.HandlerId, Id);
+    return R.Exn;
+  }
 
   //===--------------------------------------------------------------------===
   // Introspection / control.
@@ -291,6 +317,8 @@ public:
   HeapProfiler *profiler() { return Profiler.get(); }
   uint64_t pointerUpdates() const { return NumPointerUpdates; }
   uint64_t raises() const { return NumRaises; }
+  /// Installed handlers (pushHandler minus popHandler and raises).
+  size_t handlerDepth() const { return Handlers.size(); }
   const MutatorConfig &config() const { return Config; }
 
 private:
@@ -310,12 +338,15 @@ private:
   /// so its marker retires and its original key comes back.
   void runStub(size_t Base);
 
-  /// popFrame's cold path, legal only while a C++ exception unwinds the
-  /// frame at \p Base. A frame below the top was cut by raise, which
-  /// unwound the shadow stack past it in one jump: its pop is skipped. A
-  /// topmost frame still holding a handler is being left by some other
+  /// popFrame's cold path. A frame that is not on top must have been cut
+  /// by raise, which unwound the shadow stack past it in one jump: its base
+  /// is at or above the stack's top and its pop is skipped. Any other
+  /// non-top frame is popped out of order, which is fatal in every build
+  /// mode. A topmost frame still holding a handler is being left by a C++
   /// exception: its handlers die with it and it pops as a return.
   void popFrameUnwinding(size_t Base);
+
+  [[noreturn]] void fatalHandlerMismatch(uint64_t Got, uint64_t Want) const;
 
   /// The allocation fast path (see the allocation section comment).
   Word *allocImpl(ObjectKind Kind, uint32_t LenWords, uint32_t PtrMask,
@@ -425,6 +456,9 @@ private:
 
   /// Declared before OwnedGC: the owned collector holds a reference to it.
   MutatorConfig Config;
+  /// The process-wide trace tables, looked up once: frame sizes for push
+  /// and raise.
+  const TraceTableRegistry &Registry = TraceTableRegistry::global();
   ShadowStack Stack;
   RegisterFile Regs;
   std::unique_ptr<HeapProfiler> Profiler;

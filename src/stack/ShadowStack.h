@@ -122,6 +122,8 @@ public:
 
   size_t frameCount() const { return NumFrames; }
   bool empty() const { return NumFrames == 0; }
+  /// One past the topmost frame's last slot: where the next push starts.
+  size_t topSlot() const { return Top; }
   /// Base of the I-th frame from the bottom (0 = oldest).
   size_t frameBase(size_t I) const {
     assert(I < NumFrames && "frame index out of range");

@@ -6,6 +6,8 @@
 
 #include "stack/TraceTable.h"
 
+#include "support/Fatal.h"
+
 #include <cstdio>
 #include <cstdlib>
 
@@ -30,6 +32,7 @@ TraceTableRegistry &TraceTableRegistry::global() {
 TraceTableRegistry::TraceTableRegistry() {
   // Key 0 is reserved so that a zeroed slot never looks like a valid frame.
   Layouts.emplace_back("<invalid>", std::vector<Trace>{});
+  FrameSizes[0] = Layouts[0].numSlots();
   NumKeys.store(1, std::memory_order_release);
 }
 
@@ -45,7 +48,10 @@ uint32_t TraceTableRegistry::define(FrameLayout Layout) {
   }
   std::lock_guard<std::mutex> L(DefineMutex);
   uint32_t Key = static_cast<uint32_t>(Layouts.size());
-  assert(Key != StubKey && "trace table registry overflow");
+  if (Key >= MaxKeys)
+    fatalError("trace table registry full: %zu keys defined, cannot add "
+               "'%s'", Layouts.size(), Layout.Name.c_str());
+  FrameSizes[Key] = Layout.numSlots();
   Layouts.push_back(std::move(Layout));
   NumKeys.store(Layouts.size(), std::memory_order_release);
   return Key;

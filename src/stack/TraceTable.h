@@ -117,10 +117,16 @@ inline constexpr uint32_t StubKey = 0xFFFFFFFFu;
 /// workload code, and multi-mutator runs execute per-thread workload
 /// instances concurrently — so define() takes a mutex, storage is a deque
 /// (no element ever moves under a reader), and the published key count is a
-/// release store the lock-free lookup acquires. Single-threaded cost: one
+/// release store the lock-free lookups acquire. Single-threaded cost: one
 /// atomic load where a plain size() load was.
+///
+/// Beside the layouts, a flat array holds every key's frame size: a frame
+/// push reads one word there instead of decoding a FrameLayout.
 class TraceTableRegistry {
 public:
+  /// Capacity of the frame-size array; define() past it is fatal.
+  static constexpr size_t MaxKeys = size_t{1} << 16;
+
   /// The process-wide registry (trace tables are program metadata).
   static TraceTableRegistry &global();
 
@@ -140,6 +146,15 @@ public:
     return Layouts[Key];
   }
 
+  /// Frame size in slots of \p Key (FrameLayout::numSlots), from the flat
+  /// array: the frame-push path. Checked exactly as lookup() is.
+  uint32_t frameSize(uint32_t Key) const {
+    size_t N = NumKeys.load(std::memory_order_acquire);
+    if (TILGC_UNLIKELY(Key >= N))
+      fatalBadKey(Key, N);
+    return FrameSizes[Key];
+  }
+
   size_t size() const { return NumKeys.load(std::memory_order_acquire); }
 
 private:
@@ -147,6 +162,9 @@ private:
 
   TraceTableRegistry();
   std::deque<FrameLayout> Layouts;
+  /// Written before NumKeys publishes the key, like its layout; entries
+  /// at or past NumKeys are never read, so the array is not cleared.
+  uint32_t FrameSizes[MaxKeys];
   std::atomic<size_t> NumKeys{0};
   std::mutex DefineMutex;
 };

@@ -130,18 +130,20 @@ struct SearchCtx {
 
 /// The recursive solver. NEVER returns normally: it raises Fail when the
 /// subtree is exhausted and Abort when the node budget runs out (both in
-/// the Prolog-translation style the paper's benchmark came from).
-[[noreturn]] void solve(SearchCtx &C, int Pegs) {
+/// the Prolog-translation style the paper's benchmark came from), and
+/// returns the raise to its caller's handler.
+MLRaise solve(SearchCtx &C, int Pegs) {
   Mutator &M = C.M;
   Frame F(M, keySolve()); // 1 = fresh peg, 2 = trail cell, 3 = scratch.
 
   ++C.Nodes;
   if (C.Nodes >= C.Budget)
-    M.raise(C.Top.get(3)); // Abort.
+    return M.raise(C.Top.get(3)); // Abort.
   if (Pegs == 1) {
     ++C.Solutions;
     C.Checksum = C.Checksum * 31 + 77;
-    M.raise(C.Top.get(2)); // Keep enumerating: a solution is also a "fail".
+    // Keep enumerating: a solution is also a "fail".
+    return M.raise(C.Top.get(2));
   }
 
   const BoardGeometry &G = geometry();
@@ -176,14 +178,7 @@ struct SearchCtx {
                  true);
 
     uint64_t H = M.pushHandler(F.base());
-    bool Aborting = false;
-    try {
-      solve(C, Pegs - 1);
-    } catch (MLRaise &R) {
-      if (R.HandlerId != H)
-        throw;
-      Aborting = isAbort(R.Exn);
-    }
+    bool Aborting = isAbort(M.caught(solve(C, Pegs - 1), H));
 
     // Undo: two fresh pegs back, landing cell cleared (three more
     // barriered stores).
@@ -197,9 +192,9 @@ struct SearchCtx {
                  true);
 
     if (Aborting)
-      M.raise(C.Top.get(3)); // Re-raise level by level.
+      return M.raise(C.Top.get(3)); // Re-raise level by level.
   }
-  M.raise(C.Top.get(2)); // Subtree exhausted.
+  return M.raise(C.Top.get(2)); // Subtree exhausted.
 }
 
 /// Reference search with identical traversal and counters.
@@ -273,13 +268,8 @@ public:
 
     SearchCtx C{M, Top, budgetFor(Scale)};
     uint64_t H = M.pushHandler(Top.base());
-    try {
-      solve(C, NumCells - 1);
-    } catch (MLRaise &R) {
-      if (R.HandlerId != H)
-        throw;
-      // Fail = exhausted the whole tree; Abort = budget. Both fine.
-    }
+    // Fail = exhausted the whole tree; Abort = budget. Both fine.
+    (void)M.caught(solve(C, NumCells - 1), H);
     // Trail-keeping cons so the trail site exists in profiles.
     Top.set(3, Value::null());
     Top.set(2, consInt(M, siteTrail(), static_cast<int64_t>(C.Nodes),

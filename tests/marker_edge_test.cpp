@@ -18,6 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 using namespace tilgc;
 using namespace tilgc::mllib;
 
@@ -43,29 +46,28 @@ MutatorConfig markerConfig(unsigned Period) {
 }
 
 /// Pushes frames to depth N, collecting at the bottom, then raises to the
-/// handler at depth HandlerAt.
-void growCollectRaise(Mutator &M, int N, int HandlerAt, Value Payload) {
+/// handler at depth HandlerAt. Frames below the handler return nothing;
+/// the frames between the raise and the handler return its token.
+std::optional<MLRaise> growCollectRaise(Mutator &M, int N, int HandlerAt,
+                                        Value Payload) {
   Frame F(M, keyEdge());
   F.set(1, Payload);
   if (N == HandlerAt) {
     uint64_t H = M.pushHandler(F.base());
-    try {
-      growCollectRaise(M, N - 1, HandlerAt, F.get(1));
-      FAIL() << "must raise";
-    } catch (MLRaise &R) {
-      ASSERT_EQ(R.HandlerId, H);
+    std::optional<MLRaise> R = growCollectRaise(M, N - 1, HandlerAt, F.get(1));
+    EXPECT_TRUE(R.has_value()) << "must raise";
+    if (R) {
+      EXPECT_EQ(R->HandlerId, H);
       // The payload list survived the unwind; verify reachability.
-      EXPECT_EQ(headInt(R.Exn), 11);
+      EXPECT_EQ(headInt(R->Exn), 11);
     }
-    return;
+    return std::nullopt;
   }
   if (N <= 0) {
     M.collect(false); // Places markers along the whole chain.
-    if (!F.get(1).isNull()) // Always true; keeps a visible return path.
-      M.raise(F.get(1));
-    return;
+    return M.raise(F.get(1));
   }
-  growCollectRaise(M, N - 1, HandlerAt, F.get(1));
+  return growCollectRaise(M, N - 1, HandlerAt, F.get(1));
 }
 
 } // namespace
@@ -78,7 +80,7 @@ TEST(MarkerEdgeTest, RaiseLandsOnAMarkedHandlerFrame) {
     Mutator M(markerConfig(4));
     Frame Top(M, keyEdge());
     Top.set(1, consInt(M, siteEdge(), 11, slot(Top, 2)));
-    growCollectRaise(M, 40, HandlerAt, Top.get(1));
+    EXPECT_FALSE(growCollectRaise(M, 40, HandlerAt, Top.get(1)));
     // The runtime is still consistent: allocate and collect again.
     for (int I = 0; I < 2000; ++I)
       Top.set(2, consInt(M, siteEdge(), I, slot(Top, 2)));
@@ -99,26 +101,19 @@ TEST(MarkerEdgeTest, RaiseAcrossMarkedFramesSkipsTheirPops) {
   size_t Depth = M.stack().frameCount();
 
   struct Helper {
-    static void deep(Mutator &M, int N, uint64_t &StubPopsAtRaise) {
+    static MLRaise deep(Mutator &M, int N, uint64_t &StubPopsAtRaise) {
       Frame F(M, keyEdge());
-      if (N > 0) {
-        deep(M, N - 1, StubPopsAtRaise);
-        return;
-      }
+      if (N > 0)
+        return deep(M, N - 1, StubPopsAtRaise);
       M.collect(false); // Marks the whole chain, handler frame included.
       StubPopsAtRaise = M.collector().markerManager()->numStubPops();
-      if (StubPopsAtRaise != ~uint64_t{0}) // Always; a visible return path.
-        M.raise(Value::fromInt(5));
+      return M.raise(Value::fromInt(5));
     }
   };
   uint64_t H = M.pushHandler(Handler.base());
   uint64_t StubPopsAtRaise = 0;
-  try {
-    Helper::deep(M, 30, StubPopsAtRaise);
-    FAIL() << "must raise";
-  } catch (MLRaise &R) {
-    ASSERT_EQ(R.HandlerId, H);
-  }
+  MLRaise R = Helper::deep(M, 30, StubPopsAtRaise);
+  ASSERT_EQ(R.HandlerId, H);
   EXPECT_EQ(M.stack().frameCount(), Depth);
   EXPECT_EQ(MM->numStubPops(), StubPopsAtRaise)
       << "a frame cut by the raise returned through the stub";
@@ -132,6 +127,70 @@ TEST(MarkerEdgeTest, RaiseAcrossMarkedFramesSkipsTheirPops) {
   EXPECT_EQ(headInt(Handler.get(1)), 11);
 }
 
+TEST(MarkerEdgeTest, RaiseReturnsThroughKFramesToItsHandler) {
+  // The raise's token travels back through K C++ frames, every third of
+  // them marked. It must name the handler, leave the shadow stack, the
+  // handler stack and the raise count as one jump would, and the next
+  // collection must reuse exactly the frames below the handler (the
+  // watermark M) and rescan everything from the handler up.
+  constexpr int K = 20;
+  Mutator M(markerConfig(3));
+  MarkerManager *MM = M.collector().markerManager();
+  ASSERT_NE(MM, nullptr);
+  Frame Bottom(M, keyEdge()); // Frame 0.
+  Bottom.set(1, consInt(M, siteEdge(), 7, slot(Bottom, 2)));
+  uint64_t Outer = M.pushHandler(Bottom.base());
+  Frame Mid(M, keyEdge());     // Frame 1.
+  Frame Handler(M, keyEdge()); // Frame 2: marked at period 3.
+  Handler.set(1, consInt(M, siteEdge(), 11, slot(Handler, 2)));
+  size_t Depth = M.stack().frameCount();
+  uint64_t H = M.pushHandler(Handler.base());
+
+  struct Helper {
+    static MLRaise deep(Mutator &M, int N) {
+      Frame F(M, keyEdge());
+      F.set(1, consInt(M, siteEdge(), N, slot(F, 2)));
+      if (N > 0)
+        return deep(M, N - 1);
+      M.collect(false); // Marks every third frame, the handler's included.
+      return M.raise(F.get(1));
+    }
+  };
+  MLRaise R = Helper::deep(M, K - 1);
+  ASSERT_EQ(R.HandlerId, H);
+  EXPECT_EQ(headInt(R.Exn), 0);
+  EXPECT_EQ(M.stack().frameCount(), Depth);
+  EXPECT_EQ(M.stack().topFrameBase(), Handler.base());
+  EXPECT_EQ(M.raises(), 1u);
+  EXPECT_EQ(M.handlerDepth(), 1u) << "the raise pops only its own handler";
+  EXPECT_EQ(MM->numActiveMarkers(), 1u)
+      << "the handler frame keeps its marker; the cut frames' retire";
+
+  const GcStats &S = M.gcStats();
+  uint64_t Reused = S.FramesReused;
+  uint64_t Scanned = S.FramesScanned;
+  {
+    Frame A(M, keyEdge());
+    A.set(1, consInt(M, siteEdge(), 21, slot(A, 2)));
+    Frame B(M, keyEdge());
+    B.set(1, consInt(M, siteEdge(), 22, slot(B, 2)));
+    M.collect(false);
+    EXPECT_EQ(S.FramesReused - Reused, Depth - 1)
+        << "frames below the watermark are served from the scan cache";
+    EXPECT_EQ(S.FramesScanned - Scanned, 3u)
+        << "the handler frame and the two pushed after the raise";
+    EXPECT_EQ(headInt(A.get(1)), 21);
+    EXPECT_EQ(headInt(B.get(1)), 22);
+  }
+  M.collect(true);
+  std::string Error;
+  EXPECT_TRUE(M.verifyHeap(Error)) << Error;
+  EXPECT_EQ(headInt(Bottom.get(1)), 7);
+  EXPECT_EQ(headInt(Handler.get(1)), 11);
+  M.popHandler(Outer);
+  EXPECT_EQ(M.handlerDepth(), 0u);
+}
+
 TEST(MarkerEdgeTest, RaiseStormKeepsWatermarkSound) {
   Mutator M(markerConfig(3));
   Frame Top(M, keyEdge());
@@ -142,18 +201,15 @@ TEST(MarkerEdgeTest, RaiseStormKeepsWatermarkSound) {
       Frame F(M, keyEdge());
       F.set(1, Keep.get());
       uint64_t H = M.pushHandler(F.base());
-      try {
+      MLRaise R = [&] {
         Frame G(M, keyEdge());
         G.set(1, F.get(1));
         // Allocate enough to force collections at depth, then raise.
         for (int I = 0; I < 600; ++I)
           G.set(2, consInt(M, siteEdge(), I + Round, slot(G, 1)));
-        M.raise(G.get(2));
-      } catch (MLRaise &R) {
-        if (R.HandlerId != H)
-          throw;
-        EXPECT_EQ(headInt(R.Exn), 599 + Round);
-      }
+        return M.raise(G.get(2));
+      }();
+      EXPECT_EQ(headInt(M.caught(R, H)), 599 + Round);
     }
   };
   for (int Round = 0; Round < 200; ++Round)

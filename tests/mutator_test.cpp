@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include <sys/resource.h>
 
 using namespace tilgc;
@@ -188,29 +190,19 @@ TEST(MutatorTest, ExceptionsUnwindToHandler) {
   F.set(1, consInt(M, siteTest(), 1, slot(F, 2)));
 
   uint64_t H = M.pushHandler(F.base());
-  bool Caught = false;
-  try {
-    // Deep recursion, then raise.
-    struct Helper {
-      static void deep(Mutator &M, int N, SlotRef Exn) {
-        Frame G(M, keyTest());
-        G.set(1, Exn.get());
-        if (N <= 0) {
-          if (!G.get(1).isNull()) // Always true; visible return path.
-            M.raise(G.get(1));
-          return;
-        }
-        deep(M, N - 1, slot(G, 1));
-      }
-    };
-    Helper::deep(M, 200, slot(F, 1));
-    FAIL() << "raise must not return";
-  } catch (MLRaise &R) {
-    ASSERT_EQ(R.HandlerId, H);
-    Caught = true;
-    F.set(2, R.Exn);
-  }
-  ASSERT_TRUE(Caught);
+  // Deep recursion, then raise.
+  struct Helper {
+    static MLRaise deep(Mutator &M, int N, SlotRef Exn) {
+      Frame G(M, keyTest());
+      G.set(1, Exn.get());
+      if (N <= 0)
+        return M.raise(G.get(1));
+      return deep(M, N - 1, slot(G, 1));
+    }
+  };
+  MLRaise R = Helper::deep(M, 200, slot(F, 1));
+  ASSERT_EQ(R.HandlerId, H);
+  F.set(2, R.Exn);
   EXPECT_EQ(M.stack().topFrameBase(), F.base())
       << "shadow stack must be unwound to the handler frame";
   EXPECT_EQ(headInt(F.get(2)), 1);
@@ -224,28 +216,27 @@ TEST(MutatorTest, ExceptionsInterleavedWithCollections) {
   Frame F(M, keyTest());
 
   struct Helper {
-    static void deep(Mutator &M, int N, int RaiseAt) {
+    static std::optional<MLRaise> deep(Mutator &M, int N, int RaiseAt) {
       Frame G(M, keyTest());
       // Allocate on the way down so collections interleave with depth.
       G.set(1, consInt(M, siteTest(), N, slot(G, 2)));
       if (N == RaiseAt)
-        M.raise(G.get(1));
+        return M.raise(G.get(1));
       if (N > 0)
-        deep(M, N - 1, RaiseAt);
+        return deep(M, N - 1, RaiseAt);
+      return std::nullopt;
     }
   };
 
   for (int Round = 0; Round < 50; ++Round) {
     uint64_t H = M.pushHandler(F.base());
-    try {
-      Helper::deep(M, 300, Round * 3);
-      M.popHandler(H);
-    } catch (MLRaise &R) {
-      ASSERT_EQ(R.HandlerId, H);
-      F.set(1, R.Exn);
-      EXPECT_EQ(headInt(F.get(1)), Round * 3);
-    }
+    std::optional<MLRaise> R = Helper::deep(M, 300, Round * 3);
+    ASSERT_TRUE(R.has_value());
+    ASSERT_EQ(R->HandlerId, H);
+    F.set(1, R->Exn);
+    EXPECT_EQ(headInt(F.get(1)), Round * 3);
   }
+  EXPECT_EQ(M.raises(), 50u);
   EXPECT_GT(M.gcStats().NumGC, 0u);
 }
 

@@ -324,15 +324,11 @@ TEST(OomProtocol, HeapExhaustedUnwindsFramesAndHandlers) {
       }
       // A raise lands on the catcher's own handler, not on a stale one
       // left by a frame the exception unwound.
-      bool Caught = false;
-      try {
+      MLRaise R = [&] {
         Frame Callee(M, oomKey());
-        M.raise(Value::fromInt(7));
-      } catch (const MLRaise &R) {
-        EXPECT_EQ(R.HandlerId, Mine);
-        Caught = true;
-      }
-      EXPECT_TRUE(Caught);
+        return M.raise(Value::fromInt(7));
+      }();
+      EXPECT_EQ(R.HandlerId, Mine);
       EXPECT_EQ(M.stack().frameCount(), Depth);
       EXPECT_TRUE(M.verifyHeap(Error)) << Error;
     }
@@ -369,10 +365,6 @@ TEST_P(WorkloadOom, StructuredFailurePastHardLimit) {
     EXPECT_NE(std::string(E.what()).find("tilgc heap state"),
               std::string::npos);
     Threw = true;
-  } catch (const MLRaise &) {
-    // Some workloads legitimately unwind through ML exceptions; the
-    // allocation failure surfaced before a handler was reinstalled. The
-    // heap must still be intact (checked below).
   }
   EXPECT_TRUE(Threw) << W.name() << ": never saw HeapExhausted";
   std::string Error;
@@ -404,9 +396,45 @@ TEST(OomProtocolDeath, UncaughtMLExceptionDiesStructurally) {
         C.Name = "uncaught-exn";
         Mutator M(C);
         Frame F(M, oomKey());
-        M.raise(Value::fromInt(7)); // No handler installed.
+        (void)M.raise(Value::fromInt(7)); // No handler installed.
       },
       "uncaught ML exception in mutator 'uncaught-exn'");
+}
+
+TEST(OomProtocolDeath, OutOfOrderFramePopDiesStructurally) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // Only a raise may leave a frame below the top unpopped, and only one it
+  // cut (at or above the new stack top). Popping a live frame out from
+  // under another is fatal in every build mode, not an erased assert.
+  EXPECT_DEATH(
+      {
+        MutatorConfig C;
+        C.Name = "out-of-order";
+        Mutator M(C);
+        size_t Below = M.pushFrame(oomKey());
+        (void)M.pushFrame(oomKey());
+        M.popFrame(Below);
+      },
+      "mutator 'out-of-order' popped the frame at slot 0 out of order");
+}
+
+TEST(OomProtocolDeath, RaiseReachingAnotherHandlerDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // A token handed to a site other than the one its raise targeted means
+  // a frame between them swallowed or swapped it: fatal in every mode.
+  EXPECT_DEATH(
+      {
+        MutatorConfig C;
+        C.Name = "wrong-handler";
+        Mutator M(C);
+        Frame F(M, oomKey());
+        uint64_t Outer = M.pushHandler(F.base());
+        uint64_t Inner = M.pushHandler(F.base());
+        (void)Inner;
+        MLRaise R = M.raise(Value::fromInt(7)); // Targets Inner.
+        (void)M.caught(R, Outer);
+      },
+      "a raise for handler #2 reached the site of handler #1");
 }
 
 TEST(OomProtocolDeath, HostAllocationFailureDiesStructurally) {
