@@ -7,17 +7,154 @@
 #include "gc/Collector.h"
 
 #include "gc/HeapError.h"
+#include "gc/ParallelEvacuator.h"
 #include "profile/AllocSite.h"
+#include "support/FaultInjector.h"
 #include "support/Table.h"
+#include "support/WorkerPool.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 using namespace tilgc;
 
+Collector::Collector(const CollectorEnv &Env, const GcOptions &Opts)
+    : Env(Env), Opts(Opts), Markers(Opts.MarkerPeriod) {
+  assert(Env.Stack && Env.Regs && "collector needs stack and registers");
+  for (GcObserver *O : Env.Observers)
+    Tel.addObserver(O);
+  Markers.setAdaptive(Opts.AdaptiveMarkerPlacement);
+  if (Opts.GcThreads > 1)
+    Pool = std::make_unique<WorkerPool>(Opts.GcThreads);
+  // Root-side containers live for the collector's lifetime; reserving here
+  // means steady-state collections never grow them.
+  Roots.reserve(1024);
+  Cache.reserve(256, 1024);
+  RegRootAddrs.reserve(NumRegisters);
+}
+
 // Out-of-line virtual anchor.
 Collector::~Collector() = default;
+
+void Collector::scanRoots() {
+  TimerScope T(Stats.StackTime);
+  GcTelemetry::PhaseScope PS(Tel, GcPhase::StackScan);
+  LastScan = ScanStats();
+  bool UseMarkers = Opts.UseStackMarkers;
+  StackScanner::scan(*Env.Stack, *Env.Regs, UseMarkers ? &Markers : nullptr,
+                     UseMarkers ? &Cache : nullptr, Roots, LastScan,
+                     Opts.CompiledScanPlans);
+  Stats.FramesScanned += LastScan.FramesScanned;
+  Stats.FramesReused += LastScan.FramesReused;
+  Stats.SlotsVisited += LastScan.SlotsVisited;
+  Stats.PlanWordsScanned += LastScan.PlanWordsScanned;
+  RegRootAddrs.clear();
+  for (unsigned R : Roots.RegRoots)
+    RegRootAddrs.push_back(&(*Env.Regs)[R]);
+
+  // Extra mutator contexts (multi-mutator runtime), in registration (=
+  // thread-index) order so root handoff stays deterministic for a fixed
+  // thread count: fresh slot roots append after the primary context's, and
+  // so do register roots. No markers or cache — the reuse optimization is
+  // primary-context only. No contexts, no work: single-mode scans stay
+  // byte-identical.
+  for (const MutatorContext &C : ExtraContexts) {
+    ScanStats S;
+    StackScanner::scan(*C.Stack, *C.Regs, nullptr, nullptr, ExtraRoots, S,
+                       Opts.CompiledScanPlans);
+    Stats.FramesScanned += S.FramesScanned;
+    Stats.SlotsVisited += S.SlotsVisited;
+    Stats.PlanWordsScanned += S.PlanWordsScanned;
+    LastScan.FramesScanned += S.FramesScanned;
+    Roots.FreshSlotRoots.insert(Roots.FreshSlotRoots.end(),
+                                ExtraRoots.FreshSlotRoots.begin(),
+                                ExtraRoots.FreshSlotRoots.end());
+    for (unsigned R : ExtraRoots.RegRoots)
+      RegRootAddrs.push_back(&(*C.Regs)[R]);
+  }
+
+  if (GcEvent *Ev = Tel.currentEvent()) {
+    Ev->FramesScanned = LastScan.FramesScanned;
+    Ev->FramesReused = LastScan.FramesReused;
+  }
+}
+
+template <typename EngineT>
+uint64_t Collector::runEvacuation(EngineT &E, RootSpans Spans) {
+  constexpr bool Parallel = std::is_same_v<EngineT, ParallelEvacuator>;
+  {
+    TimerScope T(Stats.StackTime);
+    GcTelemetry::PhaseScope PS(Tel, GcPhase::RootHandoff);
+    for (const std::vector<Word *> *Span : Spans) {
+      if (!Span)
+        continue;
+      if constexpr (Parallel)
+        E.addRootSpan(Span->data(), Span->size());
+      else
+        E.forwardRootSpan(Span->data(), Span->size());
+    }
+  }
+  {
+    TimerScope T(Stats.CopyTime);
+    GcTelemetry::PhaseScope PS(Tel, GcPhase::Copy);
+    if constexpr (Parallel)
+      E.run();
+    else
+      E.drain();
+  }
+  Stats.BytesCopied += E.bytesCopied();
+  Stats.ObjectsCopied += E.objectsCopied();
+  Stats.CrossingMapUpdates += E.crossingMapUpdates();
+  GcEvent *Ev = Tel.currentEvent();
+  if (Ev) {
+    Ev->BytesCopied = E.bytesCopied();
+    Ev->ObjectsCopied = E.objectsCopied();
+  }
+  if constexpr (Parallel) {
+    Stats.EvacWorkerFaults += E.workerFaults();
+    if (E.workerFaults())
+      ++Stats.EvacSerialRecoveries;
+    if (Ev) {
+      Ev->Workers = Opts.GcThreads;
+      Ev->WorkerFaults = E.workerFaults();
+      Ev->SerialRecovery = E.workerFaults() > 0;
+    }
+  }
+  return E.bytesCopied();
+}
+
+uint64_t Collector::evacuate(const Evacuator::Config &C, RootSpans Spans) {
+  if (Pool) {
+    ParallelEvacuator E(C, *Pool);
+    return runEvacuation(E, Spans);
+  }
+  Evacuator E(C);
+  return runEvacuation(E, Spans);
+}
+
+size_t Collector::parallelSlackBytes(size_t IncomingBytes) const {
+  return Pool ? ParallelEvacuator::reserveSlackBytes(IncomingBytes,
+                                                     Opts.GcThreads)
+              : 0;
+}
+
+bool Collector::shouldPoison() const {
+  if (Opts.VerifyLevel >= 3)
+    return true;
+  return TILGC_UNLIKELY(FaultInjector::enabled()) &&
+         FaultInjector::global().shouldFire(FaultPoint::FromSpacePoison);
+}
+
+void Collector::maybeVerifyHeap(const char *Kind) const {
+  if (TILGC_LIKELY(Opts.VerifyLevel < 1))
+    return;
+  std::string Error;
+  if (!verifyHeapNow(Error))
+    fatalError("heap verification failed after %s GC #%llu: %s", Kind,
+               (unsigned long long)Stats.NumGC, Error.c_str());
+}
 
 std::string Collector::heapStateDump() const {
   std::string Out;

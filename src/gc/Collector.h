@@ -8,11 +8,20 @@
 /// The abstract collector interface the mutator allocates through, plus the
 /// environment (stack, registers, optional profiler) collectors scan.
 ///
+/// The semispace and generational collectors are two configurations of one
+/// copying runtime, so the machinery they share lives here, once: the
+/// options, the stack markers and scan cache (§5, §7.1), the evacuation
+/// worker pool, the root scan, the serial/parallel evacuation runner,
+/// from-space poisoning and the post-collection heap audit. Each collector
+/// keeps only its space layout and sizing policy.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TILGC_GC_COLLECTOR_H
 #define TILGC_GC_COLLECTOR_H
 
+#include "gc/Evacuator.h"
+#include "gc/GcOptions.h"
 #include "gc/GcStats.h"
 #include "gc/HeapError.h"
 #include "heap/Space.h"
@@ -27,10 +36,14 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
+#include <memory>
 #include <string>
 #include <vector>
 
 namespace tilgc {
+
+class WorkerPool;
 
 /// What a collector needs from the mutator: the root sources, the optional
 /// profiler, and any telemetry observers. Non-owning.
@@ -55,11 +68,8 @@ struct MutatorContext {
 /// Abstract copying collector.
 class Collector {
 public:
-  explicit Collector(const CollectorEnv &Env) : Env(Env) {
-    assert(Env.Stack && Env.Regs && "collector needs stack and registers");
-    for (GcObserver *O : Env.Observers)
-      Tel.addObserver(O);
-  }
+  /// \p Opts must outlive the collector (the owning Mutator's config).
+  Collector(const CollectorEnv &Env, const GcOptions &Opts);
   virtual ~Collector();
 
   Collector(const Collector &) = delete;
@@ -84,7 +94,9 @@ public:
   virtual uint64_t liveBytesAfterLastGC() const = 0;
 
   /// The stack-marker manager, if generational stack collection is enabled.
-  virtual MarkerManager *markerManager() { return nullptr; }
+  MarkerManager *markerManager() {
+    return Opts.UseStackMarkers ? &Markers : nullptr;
+  }
 
   /// Runs a full heap audit now (outside any collection): object headers,
   /// pointer validity, no stale forwarding pointers, no leaked from-space
@@ -254,39 +266,6 @@ protected:
     });
   }
 
-  /// Materializes the register roots as slot addresses in RegRootAddrs so
-  /// they can travel through the batched root pipeline as one span.
-  void gatherRegRoots() {
-    RegRootAddrs.clear();
-    for (unsigned R : Roots.RegRoots)
-      RegRootAddrs.push_back(&(*Env.Regs)[R]);
-  }
-
-  /// Scans every registered extra mutator context (multi-mutator runtime):
-  /// fresh slot roots append to Roots.FreshSlotRoots, register roots
-  /// append to RegRootAddrs after the primary context's, both in
-  /// registration (= thread-index) order, so root handoff stays
-  /// deterministic for a fixed thread count. No markers/cache — the reuse
-  /// optimization is primary-context only. Call after gatherRegRoots().
-  /// No-op when no extra contexts exist, keeping single-mode scans
-  /// byte-identical.
-  void scanExtraContexts(bool CompiledPlans) {
-    for (const MutatorContext &C : ExtraContexts) {
-      ScanStats S;
-      StackScanner::scan(*C.Stack, *C.Regs, nullptr, nullptr, ExtraRoots, S,
-                         CompiledPlans);
-      Stats.FramesScanned += S.FramesScanned;
-      Stats.SlotsVisited += S.SlotsVisited;
-      Stats.PlanWordsScanned += S.PlanWordsScanned;
-      LastScan.FramesScanned += S.FramesScanned;
-      Roots.FreshSlotRoots.insert(Roots.FreshSlotRoots.end(),
-                                  ExtraRoots.FreshSlotRoots.begin(),
-                                  ExtraRoots.FreshSlotRoots.end());
-      for (unsigned R : ExtraRoots.RegRoots)
-        RegRootAddrs.push_back(&(*C.Regs)[R]);
-    }
-  }
-
   /// Whether \p Slot lives in any registered mutator's stack or register
   /// file (primary or extra) — the aged-tenuring filter that keeps stack
   /// slots out of the cross-generation remembered set.
@@ -299,21 +278,90 @@ protected:
     return false;
   }
 
+  /// Scans the primary stack (through the markers and scan cache when
+  /// Opts.UseStackMarkers) and every extra context into Roots and
+  /// RegRootAddrs, accounting StackTime, the scan counters and the open
+  /// event's frame fields.
+  void scanRoots();
+
+  /// Root spans in handoff order; null entries are skipped.
+  using RootSpans = std::initializer_list<const std::vector<Word *> *>;
+
+  /// One evacuation on the serial engine, or on the parallel one when a
+  /// pool exists: hands \p Spans to the engine in order (StackTime,
+  /// RootHandoff phase), copies (CopyTime, Copy phase), and folds the
+  /// totals into the stats and the open event. The order of the spans is
+  /// the copy order, so it fixes the heap layout. Returns the bytes copied.
+  uint64_t evacuate(const Evacuator::Config &C, RootSpans Spans);
+
+  /// Extra destination room the parallel engine's block handout may waste
+  /// when copying \p IncomingBytes; 0 on the serial engine.
+  size_t parallelSlackBytes(size_t IncomingBytes) const;
+
+  /// Bytes the hard cap still allows on top of \p StandingBytes (0 when
+  /// the standing footprint already reaches the cap).
+  size_t hardCapRoom(size_t StandingBytes) const {
+    return Opts.HardLimitBytes > StandingBytes
+               ? Opts.HardLimitBytes - StandingBytes
+               : 0;
+  }
+
+  /// Whether this collection should poison evacuated from-space
+  /// (VerifyLevel >= 3 or the FromSpacePoison fault point).
+  bool shouldPoison() const;
+
+  /// Arms the wild-write check on \p Idle: a to-space just poisoned that
+  /// sits unused until the next collection.
+  void watchIdleSpace(const Space &Idle) { PoisonedIdle = &Idle; }
+
+  /// Collection entry: if the idle to-space was left poisoned, any
+  /// clobbered word is a wild write through a stale pointer; aborts naming
+  /// it (\p Kind names the collection). Disarms the check either way.
+  void checkIdleSpacePoison(const char *Kind) {
+    if (TILGC_LIKELY(!PoisonedIdle))
+      return;
+    if (const Word *Bad = PoisonedIdle->findPoisonViolation())
+      fatalError("from-space poison clobbered at %p before %s GC #%llu "
+                 "(holds %llx): wild write through a stale pointer",
+                 (const void *)Bad, Kind,
+                 (unsigned long long)(Stats.NumGC + 1),
+                 (unsigned long long)*Bad);
+    PoisonedIdle = nullptr;
+  }
+
+  /// VerifyLevel >= 1 post-collection audit through verifyHeapNow();
+  /// aborts on corruption. \p Kind names the collection in the message.
+  void maybeVerifyHeap(const char *Kind) const;
+
   /// See satbLive(). Set/cleared by the incremental major-mark cycle.
   bool SatbMarkingLive = false;
 
   CollectorEnv Env;
+  const GcOptions &Opts;
   GcStats Stats;
   GcTelemetry Tel;
+  MarkerManager Markers;
+  ScanCache Cache;
+  /// Present only when Opts.GcThreads > 1.
+  std::unique_ptr<WorkerPool> Pool;
   RootSet Roots;
   ScanStats LastScan;
-  /// Scratch for gatherRegRoots (capacity-reusing, at most NumRegisters).
+  /// The register roots as slot addresses, so they travel through the
+  /// batched root pipeline as one span: the primary context's, then each
+  /// extra context's (capacity-reusing scratch filled by scanRoots).
   std::vector<Word *> RegRootAddrs;
   /// Additional mutator threads' root sources, in thread-index order.
   std::vector<MutatorContext> ExtraContexts;
-  /// Scratch RootSet for scanExtraContexts (StackScanner::scan clears its
-  /// output at entry, so one reusable instance serves every context).
+  /// Scratch RootSet for the extra contexts' scans (StackScanner::scan
+  /// clears its output at entry, so one reusable instance serves them all).
   RootSet ExtraRoots;
+
+private:
+  template <typename EngineT>
+  uint64_t runEvacuation(EngineT &E, RootSpans Spans);
+
+  /// The poisoned idle to-space watchIdleSpace armed, if any.
+  const Space *PoisonedIdle = nullptr;
 };
 
 } // namespace tilgc

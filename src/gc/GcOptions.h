@@ -110,10 +110,6 @@ struct GcOptions {
   std::vector<PretenureDecision> Pretenure;
 
   // --- Auditing ------------------------------------------------------------
-  /// Generational debug: at each minor collection, assert that every
-  /// skipped (reused) stack root points outside the nursery (the §5
-  /// invariant). Costs O(reused roots).
-  bool VerifyReuseInvariant = false;
   /// Leveled heap invariant auditing (active in every build mode):
   ///   0 = off;
   ///   1 = post-GC heap walk (headers, pointer validity, no stale
@@ -121,11 +117,14 @@ struct GcOptions {
   ///   2 = + pre-minor remembered-set completeness audit (every
   ///       tenured/LOS slot holding a young pointer must be covered by
   ///       the barrier output, the cross-generation set, or a scanned
-  ///       pretenured run — §7.2 NoScan runs deliberately excluded);
+  ///       pretenured run — §7.2 NoScan runs deliberately excluded),
+  ///       + the §5 stack-reuse audit at minors that skip reused frames
+  ///       (no root in an unchanged frame may point into the nursery);
   ///       generational only, the semispace collector treats it as 1;
   ///   3 = + from-space poisoning after evacuation with poison-integrity
   ///       and poison-leak checks.
-  /// Levels >= 2 cost O(live tenured data) per minor collection.
+  /// Levels >= 2 cost O(live tenured data + reused roots) per minor
+  /// collection.
   unsigned VerifyLevel = 0;
 
   // --- Parallelism and pause budget ----------------------------------------

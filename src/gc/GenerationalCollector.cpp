@@ -6,31 +6,19 @@
 
 #include "gc/GenerationalCollector.h"
 
-#include "gc/Evacuator.h"
 #include "gc/HeapVerifier.h"
-#include "gc/MarkCompact.h"
-#include "gc/ParallelEvacuator.h"
-#include "support/Fatal.h"
 #include "support/Table.h"
-#include "support/WorkerPool.h"
-
-#include <cstdio>
 
 #include <algorithm>
 #include <cstring>
-#include <type_traits>
 #include <unordered_set>
 
 using namespace tilgc;
 
 GenerationalCollector::GenerationalCollector(const CollectorEnv &Env,
                                              const GcOptions &Opts)
-    : Collector(Env), Opts(Opts),
-      Pool(Opts.GcThreads > 1 ? std::make_unique<WorkerPool>(Opts.GcThreads)
-                              : nullptr),
-      RS(Opts.Barrier, NurseryA, NurseryB, Stats, Tel, Pool.get()),
-      Markers(Opts.MarkerPeriod) {
-  Markers.setAdaptive(Opts.AdaptiveMarkerPlacement);
+    : Collector(Env, Opts),
+      RS(Opts.Barrier, NurseryA, NurseryB, Stats, Tel, Pool.get()) {
   size_t NurserySize = std::clamp<size_t>(Opts.BudgetBytes / 4, 8u << 10,
                                           Opts.NurseryLimitBytes);
   NurseryA.reserve(NurserySize);
@@ -81,17 +69,10 @@ GenerationalCollector::GenerationalCollector(const CollectorEnv &Env,
     // telemetry plane only publishes when someone is watching.
     Tel.enableLivePhase();
 
-  // Root-side containers live for the collector's lifetime; reserving here
-  // means steady-state collections never grow them.
-  Roots.reserve(1024);
-  Cache.reserve(256, 1024);
-  RegRootAddrs.reserve(NumRegisters);
   RootBatch.reserve(1024);
   MinorCrossGen.reserve(256);
   noteFootprint();
 }
-
-GenerationalCollector::~GenerationalCollector() = default;
 
 size_t GenerationalCollector::footprintBytes() const {
   return NurseryFrom->capacityBytes() * (AgedTenuring() ? 2 : 1) +
@@ -238,26 +219,6 @@ void GenerationalCollector::collect(bool Major) {
     doMinor(0, GcTrigger::Explicit);
 }
 
-void GenerationalCollector::scanStackForRoots() {
-  TimerScope T(Stats.StackTime);
-  GcTelemetry::PhaseScope PS(Tel, GcPhase::StackScan);
-  LastScan = ScanStats();
-  bool UseMarkers = Opts.UseStackMarkers;
-  StackScanner::scan(*Env.Stack, *Env.Regs, UseMarkers ? &Markers : nullptr,
-                     UseMarkers ? &Cache : nullptr, Roots, LastScan,
-                     Opts.CompiledScanPlans);
-  Stats.FramesScanned += LastScan.FramesScanned;
-  Stats.FramesReused += LastScan.FramesReused;
-  Stats.SlotsVisited += LastScan.SlotsVisited;
-  Stats.PlanWordsScanned += LastScan.PlanWordsScanned;
-  gatherRegRoots();
-  scanExtraContexts(Opts.CompiledScanPlans);
-  if (GcEvent *Ev = Tel.currentEvent()) {
-    Ev->FramesScanned = LastScan.FramesScanned;
-    Ev->FramesReused = LastScan.FramesReused;
-  }
-}
-
 void GenerationalCollector::notePretenuredRun(Word *Payload, Word Descriptor,
                                               bool NoScan) {
   Word *Begin = Payload - HeaderWords;
@@ -305,60 +266,6 @@ void GenerationalCollector::forEachOldToYoungRoot(SlotFn Fn) {
     forEachPointerField(Payload, [&](Word *Field) { Fn(Field); });
 }
 
-template <typename EngineT>
-void GenerationalCollector::runEvacuation(EngineT &E, bool Major,
-                                          bool ProcessReused) {
-  constexpr bool Parallel = std::is_same_v<EngineT, ParallelEvacuator>;
-  {
-    TimerScope T(Stats.StackTime);
-    GcTelemetry::PhaseScope PS(Tel, GcPhase::RootHandoff);
-    auto HandOff = [&](const std::vector<Word *> &Span) {
-      if constexpr (Parallel)
-        E.addRootSpan(Span.data(), Span.size());
-      else
-        E.forwardRootSpan(Span.data(), Span.size());
-    };
-    HandOff(Roots.FreshSlotRoots);
-    HandOff(RegRootAddrs);
-    if (ProcessReused)
-      HandOff(Roots.ReusedSlotRoots);
-    if (!Major) {
-      HandOff(CrossGenSlots);
-      HandOff(RootBatch);
-    }
-  }
-  {
-    TimerScope T(Stats.CopyTime);
-    GcTelemetry::PhaseScope PS(Tel, GcPhase::Copy);
-    if constexpr (Parallel)
-      E.run();
-    else
-      E.drain();
-  }
-  Stats.BytesCopied += E.bytesCopied();
-  Stats.ObjectsCopied += E.objectsCopied();
-  Stats.CrossingMapUpdates += E.crossingMapUpdates();
-  if (Major)
-    Stats.MajorBytesMoved += E.bytesCopied();
-  GcEvent *Ev = Tel.currentEvent();
-  if (Ev) {
-    Ev->BytesCopied = E.bytesCopied();
-    Ev->ObjectsCopied = E.objectsCopied();
-    if (Major)
-      Ev->BytesMoved = E.bytesCopied();
-  }
-  if constexpr (Parallel) {
-    Stats.EvacWorkerFaults += E.workerFaults();
-    if (E.workerFaults())
-      ++Stats.EvacSerialRecoveries;
-    if (Ev) {
-      Ev->Workers = Opts.GcThreads;
-      Ev->WorkerFaults = E.workerFaults();
-      Ev->SerialRecovery = E.workerFaults() > 0;
-    }
-  }
-}
-
 void GenerationalCollector::doMinor(size_t NeedTenuredBytes,
                                     GcTrigger Trigger) {
   FaultInjector::ScopedGcPhase GcPhase;
@@ -367,10 +274,8 @@ void GenerationalCollector::doMinor(size_t NeedTenuredBytes,
 
   // The tenured generation must be able to absorb every survivor — plus,
   // in parallel mode, the block-tail padding the handout can waste.
-  size_t MinorNeed = NurseryFrom->usedBytes() + NeedTenuredBytes;
-  if (Pool)
-    MinorNeed += ParallelEvacuator::reserveSlackBytes(
-        NurseryFrom->usedBytes(), Opts.GcThreads);
+  size_t MinorNeed = NurseryFrom->usedBytes() + NeedTenuredBytes +
+                     parallelSlackBytes(NurseryFrom->usedBytes());
   if (TenuredFrom->freeBytes() < MinorNeed) {
     // The minor never starts: the chained major is the whole collection
     // (and the only telemetry event).
@@ -386,7 +291,7 @@ void GenerationalCollector::doMinor(size_t NeedTenuredBytes,
   // observes.
   GcWatchScope WatchScope(*this);
   accountStackAtGC();
-  scanStackForRoots();
+  scanRoots();
 
   // Pause-budget cycle live: capture the outgoing old-generation edges of
   // *every* young object before evacuation, including ones about to die.
@@ -448,25 +353,23 @@ void GenerationalCollector::doMinor(size_t NeedTenuredBytes,
   // into the nursery — skip them entirely (the heart of §5). Under aged
   // tenuring young survivors keep moving, so they must be processed.
   bool ProcessReused = !Opts.UseStackMarkers || AgedTenuring();
-  if (!ProcessReused && TILGC_UNLIKELY(Opts.VerifyReuseInvariant)) {
-    // Debug mode: check the invariant behind the skip — a root in an
-    // unchanged frame can never point into the nursery. (Off by default:
-    // the check is O(reused roots), the very cost §5 eliminates.)
-    for (Word *Slot : Roots.ReusedSlotRoots) {
-      assert((!*Slot || !inNursery(reinterpret_cast<Word *>(*Slot))) &&
-             "reused stack root points into the nursery");
-      (void)Slot;
-    }
+  if (!ProcessReused && TILGC_UNLIKELY(Opts.VerifyLevel >= 2)) {
+    // Level-2 audit of the invariant behind the skip: a root in an
+    // unchanged frame can never point into the nursery. (O(reused roots),
+    // the very cost §5 eliminates, hence audit-only.)
+    for (const Word *Slot : Roots.ReusedSlotRoots)
+      if (*Slot && inNursery(reinterpret_cast<const Word *>(*Slot)))
+        fatalError("stack-reuse audit failed at minor GC #%llu: slot %p of "
+                   "a reused (unchanged) frame holds nursery pointer %llx, "
+                   "which the minor collection would skip",
+                   (unsigned long long)Stats.NumGC, (const void *)Slot,
+                   (unsigned long long)*Slot);
   }
 
   uint64_t TenuredUsedBefore = TenuredFrom->usedBytes();
-  if (Pool) {
-    ParallelEvacuator E(C, *Pool);
-    runEvacuation(E, /*Major=*/false, ProcessReused);
-  } else {
-    Evacuator E(C);
-    runEvacuation(E, /*Major=*/false, ProcessReused);
-  }
+  evacuate(C, {&Roots.FreshSlotRoots, &RegRootAddrs,
+               ProcessReused ? &Roots.ReusedSlotRoots : nullptr,
+               &CrossGenSlots, &RootBatch});
 
   if (AgedTenuring()) {
     // Keep only real heap slots: stack slots and registers are rescanned
@@ -535,14 +438,7 @@ void GenerationalCollector::doMinor(size_t NeedTenuredBytes,
   }
 }
 
-bool GenerationalCollector::shouldPoison() const {
-  if (Opts.VerifyLevel >= 3)
-    return true;
-  return TILGC_UNLIKELY(FaultInjector::enabled()) &&
-         FaultInjector::global().shouldFire(FaultPoint::FromSpacePoison);
-}
-
-bool GenerationalCollector::runVerifier(std::string &Error) const {
+bool GenerationalCollector::verifyHeapNow(std::string &Error) const {
   HeapVerifier V;
   V.addSpace(TenuredFrom, "tenured");
   V.addSpace(NurseryFrom, "nursery");
@@ -551,15 +447,6 @@ bool GenerationalCollector::runVerifier(std::string &Error) const {
   V.setLOS(&LOS);
   V.setPoisonPattern(Space::PoisonPattern);
   return V.verifyHeap(Error);
-}
-
-void GenerationalCollector::maybeVerifyHeap(const char *Phase) const {
-  if (TILGC_LIKELY(Opts.VerifyLevel < 1))
-    return;
-  std::string Error;
-  if (!runVerifier(Error))
-    fatalError("heap verification failed after %s GC #%llu: %s", Phase,
-               (unsigned long long)Stats.NumGC, Error.c_str());
 }
 
 void GenerationalCollector::auditRememberedSets() {
@@ -629,22 +516,12 @@ void GenerationalCollector::doMajorSemispace(size_t NeedTenuredBytes,
                                              GcTrigger Trigger) {
   FaultInjector::ScopedGcPhase GcPhase;
 
-  // TenuredTo has sat idle since the last major; if it was left poisoned,
-  // any clobbered word is a wild write through a stale pointer.
-  if (TILGC_UNLIKELY(TenuredToPoisonValid)) {
-    if (const Word *Bad = TenuredTo->findPoisonViolation())
-      fatalError("from-space poison clobbered at %p before major GC #%llu "
-                 "(holds %llx): wild write through a stale pointer",
-                 (const void *)Bad, (unsigned long long)(Stats.NumGC + 1),
-                 (unsigned long long)*Bad);
-    TenuredToPoisonValid = false;
-  }
+  // TenuredTo has sat idle since the last major.
+  checkIdleSpacePoison("major");
 
   size_t Incoming = TenuredFrom->usedBytes() + NurseryFrom->usedBytes() +
                     (AgedTenuring() ? NurseryTo->usedBytes() : 0);
-  size_t Reserve = Incoming + NeedTenuredBytes;
-  if (Pool)
-    Reserve += ParallelEvacuator::reserveSlackBytes(Incoming, Opts.GcThreads);
+  size_t Reserve = Incoming + NeedTenuredBytes + parallelSlackBytes(Incoming);
 
   // Hard-cap pre-flight, BEFORE any object moves: if the peak footprint of
   // this collection (to-space grown to the worst case if it needs growing)
@@ -666,7 +543,7 @@ void GenerationalCollector::doMajorSemispace(size_t NeedTenuredBytes,
   Tel.beginCollection(GcGeneration::Major, Trigger, Stats.NumGC);
   GcWatchScope WatchScope(*this);
   accountStackAtGC();
-  scanStackForRoots();
+  scanRoots();
 
   evacuateMajorInto(Reserve);
 
@@ -693,21 +570,16 @@ void GenerationalCollector::doMajorSemispace(size_t NeedTenuredBytes,
     // already succeeded; if MinSize itself breaches the cap, the next
     // major's pre-flight throws before moving anything).
     if (TILGC_UNLIKELY(Opts.HardLimitBytes)) {
-      size_t Standing = NonTenured + TenuredFrom->capacityBytes();
-      size_t Room =
-          Opts.HardLimitBytes > Standing ? Opts.HardLimitBytes - Standing : 0;
+      size_t Room = hardCapRoom(NonTenured + TenuredFrom->capacityBytes());
       Desired = std::clamp(Desired, MinSize, std::max(Room, MinSize));
     }
     TenuredTo->reserve(Desired);
     noteFootprint();
 
-    if (TILGC_UNLIKELY(shouldPoison())) {
-      NurseryFrom->poisonFreeSpace();
-      if (AgedTenuring())
-        NurseryTo->poisonFreeSpace();
-      TenuredTo->poisonFreeSpace();
-      TenuredToPoisonValid = true;
-    }
+    // TenuredTo now sits idle until the next major: its poison doubles as
+    // a wild-write trap checked at that major's entry.
+    if (poisonAfterMajor(*TenuredTo))
+      watchIdleSpace(*TenuredTo);
   }
   finishMajorEvent();
 }
@@ -735,13 +607,11 @@ void GenerationalCollector::evacuateMajorInto(size_t ReserveBytes) {
 
   // Everything moves in a major collection: reused roots are processed,
   // the saving is only the avoided re-decoding of unchanged frames.
-  if (Pool) {
-    ParallelEvacuator E(C, *Pool);
-    runEvacuation(E, /*Major=*/true, /*ProcessReused=*/true);
-  } else {
-    Evacuator E(C);
-    runEvacuation(E, /*Major=*/true, /*ProcessReused=*/true);
-  }
+  uint64_t Moved = evacuate(
+      C, {&Roots.FreshSlotRoots, &RegRootAddrs, &Roots.ReusedSlotRoots});
+  Stats.MajorBytesMoved += Moved;
+  if (GcEvent *Ev = Tel.currentEvent())
+    Ev->BytesMoved = Moved;
 
   {
     GcTelemetry::PhaseScope ResizePS(Tel, GcPhase::Resize);
@@ -790,7 +660,7 @@ void GenerationalCollector::doMajorMarkCompact(size_t NeedTenuredBytes,
   GcWatchScope WatchScope(*this);
   noteFootprint();
   accountStackAtGC();
-  scanStackForRoots();
+  scanRoots();
 
   // After FailoverStickyLimit consecutive failovers the mark-compact engine
   // is not trusted with another attempt: every later major runs the
@@ -801,8 +671,11 @@ void GenerationalCollector::doMajorMarkCompact(size_t NeedTenuredBytes,
     return;
   }
 
-  bool FailedOver = false;
-  {
+  MarkCompact M(markCompactConfig(/*Abortable=*/true));
+  runMarkCompact(M, NeedTenuredBytes);
+}
+
+MarkCompact::Config GenerationalCollector::markCompactConfig(bool Abortable) {
   MarkCompact::Config MCC;
   MCC.Young = {NurseryFrom, AgedTenuring() ? NurseryTo : nullptr};
   MCC.Tenured = TenuredFrom;
@@ -812,37 +685,57 @@ void GenerationalCollector::doMajorMarkCompact(size_t NeedTenuredBytes,
   MCC.Telemetry = &Tel;
   MCC.CrossDest = RS.crossDest();
   MCC.Pool = Pool.get();
-  if (Opts.GcDeadlineMicros && Opts.WatchdogEscalation != WatchdogPolicy::Report)
+  if (Abortable && Opts.GcDeadlineMicros &&
+      Opts.WatchdogEscalation != WatchdogPolicy::Report)
     // Watchdog-requested recovery: mark/plan abort points poll this latch
-    // and throw MarkPlanFault, which the handler below turns into an
-    // engine failover.
+    // and throw MarkPlanFault, which runMarkCompact turns into an engine
+    // failover.
     MCC.AbortFlag = WD.recoverFlag();
-  MarkCompact M(MCC);
+  return MCC;
+}
 
+void GenerationalCollector::seedRootValues(MarkCompact &M) {
+  for (Word *Slot : Roots.FreshSlotRoots)
+    M.markSeed(*Slot);
+  for (Word *Slot : RegRootAddrs)
+    M.markSeed(*Slot);
+  for (Word *Slot : Roots.ReusedSlotRoots)
+    M.markSeed(*Slot);
+}
+
+void GenerationalCollector::runMarkCompact(MarkCompact &M,
+                                           size_t NeedTenuredBytes) {
   {
     TimerScope T(Stats.StackTime);
     GcTelemetry::PhaseScope PS(Tel, GcPhase::RootHandoff);
     // Majors process reused roots too: everything moves, so the §5 saving
-    // is only the avoided re-decoding of unchanged frames.
+    // is only the avoided re-decoding of unchanged frames. The spans feed
+    // the fixup's root-slot rewriting (and a stock mark's trace; an
+    // incremental mark consumes the root *values*, seeded at its close).
     M.addRootSpan(Roots.FreshSlotRoots.data(), Roots.FreshSlotRoots.size());
     M.addRootSpan(RegRootAddrs.data(), RegRootAddrs.size());
     M.addRootSpan(Roots.ReusedSlotRoots.data(), Roots.ReusedSlotRoots.size());
   }
+  bool FailedOver = false;
   try {
-  {
-    TimerScope T(Stats.CopyTime);
-    M.mark(); // Mark phase scope inside.
-  }
-  Stats.MarkWorkerFaults += M.workerFaults();
-  if (M.serialRecovered())
-    ++Stats.MarkSerialRecoveries;
+    {
+      TimerScope T(Stats.CopyTime);
+      if (IncCycleLive) // A cycle's finish: M holds the incremental mark.
+        closeIncrementalMark(M);
+      else
+        M.mark(); // Mark phase scope inside.
+    }
+    Stats.MarkWorkerFaults += M.workerFaults();
+    if (M.serialRecovered())
+      ++Stats.MarkSerialRecoveries;
 
-  completeMarkedMajor(M, NeedTenuredBytes);
-  ConsecutiveMcFailovers = 0;
+    completeMarkedMajor(M, NeedTenuredBytes);
+    ConsecutiveMcFailovers = 0;
   } catch (const MarkPlanFault &) {
     // Engine failover: the mark/plan phases are mutation-free, so the heap
     // is exactly as the mutator left it. Abandon the mark-compact attempt
-    // and finish this collection with a semispace evacuation instead.
+    // (an incremental cycle's mark is lost with it) and finish this
+    // collection with a semispace evacuation instead.
     ++Stats.MajorEngineFailovers;
     if (++ConsecutiveMcFailovers >= Opts.FailoverStickyLimit)
       McStickyDisabled = true;
@@ -854,7 +747,6 @@ void GenerationalCollector::doMajorMarkCompact(size_t NeedTenuredBytes,
     LOS.clearMarks();
     FailedOver = true;
   }
-  } // MarkCompact engine scope: bitmaps and plan state released here.
 
   if (TILGC_UNLIKELY(FailedOver))
     runMajorEvacuationFallback(NeedTenuredBytes);
@@ -875,11 +767,8 @@ void GenerationalCollector::completeMarkedMajor(MarkCompact &M,
   // slack) so compaction does not immediately pressure-chain into another
   // major.
   size_t Planned = M.plannedTenuredBytes();
-  size_t MinorHeadroom = NurseryFrom->capacityBytes();
-  if (Pool)
-    MinorHeadroom += ParallelEvacuator::reserveSlackBytes(
-        NurseryFrom->capacityBytes(), Opts.GcThreads);
-  size_t Floor = Planned + NeedTenuredBytes + MinorHeadroom + (16u << 10);
+  size_t Floor =
+      Planned + NeedTenuredBytes + minorHeadroomBytes() + (16u << 10);
 
   if (Floor <= TenuredFrom->capacityBytes()) {
     // Hard pre-commit barrier: the last point where this collection can
@@ -927,15 +816,10 @@ void GenerationalCollector::completeMarkedMajor(MarkCompact &M,
         sweepDeaths(*NurseryTo);
       resetAfterMajor();
 
-      if (TILGC_UNLIKELY(shouldPoison())) {
-        NurseryFrom->poisonFreeSpace();
-        if (AgedTenuring())
-          NurseryTo->poisonFreeSpace();
-        // The reclaimed tail past the rewound frontier is the mark-compact
-        // analog of evacuated from-space. Promotions legally consume it, so
-        // it never arms the TenuredToPoisonValid wild-write check.
-        TenuredFrom->poisonFreeSpace();
-      }
+      // The reclaimed tail past the rewound frontier is the mark-compact
+      // analog of evacuated from-space. Promotions legally consume it, so
+      // it never arms the idle-space wild-write check.
+      poisonAfterMajor(*TenuredFrom);
     }
   } else {
     // The plan does not fit: grow through one evacuating swap, releasing
@@ -964,9 +848,7 @@ void GenerationalCollector::completeMarkedMajor(MarkCompact &M,
     if (TILGC_UNLIKELY(Opts.HardLimitBytes)) {
       // The transient evacuation peak is the standing footprint plus the
       // new reservation (TenuredTo's capacity is 0 in this mode).
-      size_t Standing = footprintBytes();
-      size_t Room =
-          Opts.HardLimitBytes > Standing ? Opts.HardLimitBytes - Standing : 0;
+      size_t Room = hardCapRoom(footprintBytes());
       if (Floor > Room) {
         // Catchable refusal with the heap intact: nothing has moved, the
         // LOS sweep only freed garbage and cleared mark bits, and no state
@@ -1022,25 +904,16 @@ void GenerationalCollector::runMajorEvacuationFallback(size_t NeedTenuredBytes) 
   // immediately pressure-chain into another major.
   size_t Incoming = TenuredFrom->usedBytes() + NurseryFrom->usedBytes() +
                     (AgedTenuring() ? NurseryTo->usedBytes() : 0);
-  size_t MinorHeadroom = NurseryFrom->capacityBytes();
-  if (Pool)
-    MinorHeadroom += ParallelEvacuator::reserveSlackBytes(
-        NurseryFrom->capacityBytes(), Opts.GcThreads);
-  size_t Reserve = Incoming + NeedTenuredBytes + MinorHeadroom + (16u << 10);
-  if (Pool)
-    Reserve += ParallelEvacuator::reserveSlackBytes(Incoming, Opts.GcThreads);
+  size_t Reserve = Incoming + NeedTenuredBytes + minorHeadroomBytes() +
+                   (16u << 10) + parallelSlackBytes(Incoming);
 
   // Hard-cap pre-flight before anything moves: refuse catchably with the
   // heap intact (the aborted mark mutated nothing).
-  if (TILGC_UNLIKELY(Opts.HardLimitBytes)) {
-    size_t Standing = footprintBytes();
-    size_t Room =
-        Opts.HardLimitBytes > Standing ? Opts.HardLimitBytes - Standing : 0;
-    if (Reserve > Room) {
-      Tel.endCollection();
-      throwHeapExhausted(NeedTenuredBytes ? NeedTenuredBytes : Reserve,
-                         OomStage::HardCapPreflight);
-    }
+  if (TILGC_UNLIKELY(Opts.HardLimitBytes) &&
+      Reserve > hardCapRoom(footprintBytes())) {
+    Tel.endCollection();
+    throwHeapExhausted(NeedTenuredBytes ? NeedTenuredBytes : Reserve,
+                       OomStage::HardCapPreflight);
   }
 
   evacuateAndReleaseOld(Reserve);
@@ -1055,12 +928,22 @@ void GenerationalCollector::evacuateAndReleaseOld(size_t ReserveBytes) {
   // which also discards any partial mark/plan state an aborted engine left.
   TenuredTo->release();
   Regions.attach(*TenuredFrom);
-  if (TILGC_UNLIKELY(shouldPoison())) {
-    NurseryFrom->poisonFreeSpace();
-    if (AgedTenuring())
-      NurseryTo->poisonFreeSpace();
-    TenuredFrom->poisonFreeSpace();
-  }
+  poisonAfterMajor(*TenuredFrom);
+}
+
+size_t GenerationalCollector::minorHeadroomBytes() const {
+  return NurseryFrom->capacityBytes() +
+         parallelSlackBytes(NurseryFrom->capacityBytes());
+}
+
+bool GenerationalCollector::poisonAfterMajor(Space &Tenured) {
+  if (TILGC_LIKELY(!shouldPoison()))
+    return false;
+  NurseryFrom->poisonFreeSpace();
+  if (AgedTenuring())
+    NurseryTo->poisonFreeSpace();
+  Tenured.poisonFreeSpace();
+  return true;
 }
 
 void GenerationalCollector::armGcWatchdog() {
@@ -1158,22 +1041,13 @@ void GenerationalCollector::startIncrementalCycle(bool RescanRoots) {
     // Mid-epoch call site (LOS soft pressure): the last collection's root
     // scan is stale. Only legal without markers — see the caller.
     assert(!Opts.UseStackMarkers && "mid-epoch marker scan would break §5");
-    scanStackForRoots();
+    scanRoots();
   }
 
-  MarkCompact::Config MCC;
-  MCC.Young = {NurseryFrom, AgedTenuring() ? NurseryTo : nullptr};
-  MCC.Tenured = TenuredFrom;
-  MCC.Regions = &Regions;
-  MCC.LOS = &LOS;
-  MCC.Profiler = Env.Profiler;
-  MCC.Telemetry = &Tel;
-  MCC.CrossDest = RS.crossDest();
-  MCC.Pool = Pool.get();
-  // No AbortFlag: slices poll the watchdog's recover request themselves and
-  // answer it with a stop-the-world finish, not an engine abort — the
+  // Not abortable: slices poll the watchdog's recover request themselves
+  // and answer it with a stop-the-world finish, not an engine abort — the
   // accumulated mark is exactly what makes the finish fast.
-  IncMC = std::make_unique<MarkCompact>(MCC);
+  IncMC = std::make_unique<MarkCompact>(markCompactConfig(/*Abortable=*/false));
   IncMC->beginIncremental();
 
   IncCycleLive = true;
@@ -1197,12 +1071,7 @@ void GenerationalCollector::startIncrementalCycle(bool RescanRoots) {
   // the stack slot, and the finish rescan would miss it.
   {
     GcTelemetry::PhaseScope PS(Tel, GcPhase::IncrementalMark);
-    for (Word *Slot : Roots.FreshSlotRoots)
-      IncMC->markSeed(*Slot);
-    for (Word *Slot : RegRootAddrs)
-      IncMC->markSeed(*Slot);
-    for (Word *Slot : Roots.ReusedSlotRoots)
-      IncMC->markSeed(*Slot);
+    seedRootValues(*IncMC);
   }
 
   // First slice after one stride of allocation; see incrementalStrideBytes
@@ -1281,78 +1150,39 @@ void GenerationalCollector::finishIncrementalCycle(size_t NeedTenuredBytes,
   } Teardown{*this};
   noteFootprint();
   accountStackAtGC();
-  scanStackForRoots();
+  scanRoots();
 
-  MarkCompact &M = *IncMC;
-  bool FailedOver = false;
-  {
-    TimerScope T(Stats.StackTime);
-    GcTelemetry::PhaseScope PS(Tel, GcPhase::RootHandoff);
-    // The spans feed the fixup's root-slot rewriting (marking consumes the
-    // *values*, seeded below — markStep never touches the spans).
-    M.addRootSpan(Roots.FreshSlotRoots.data(), Roots.FreshSlotRoots.size());
-    M.addRootSpan(RegRootAddrs.data(), RegRootAddrs.size());
-    M.addRootSpan(Roots.ReusedSlotRoots.data(), Roots.ReusedSlotRoots.size());
-  }
-  try {
-    {
-      TimerScope T(Stats.CopyTime);
-      GcTelemetry::PhaseScope PS(Tel, GcPhase::IncrementalMark);
-      // Close the snapshot: fresh roots, the deletion-barrier backlog, and
-      // every cycle-era allocation (all young objects, the tenured delta,
-      // large objects born mid-cycle), then drain to empty. Dead cycle-era
-      // objects ride along as the cycle's one-epoch float.
-      M.enableYoungMarking();
-      for (Word *Slot : Roots.FreshSlotRoots)
-        M.markSeed(*Slot);
-      for (Word *Slot : RegRootAddrs)
-        M.markSeed(*Slot);
-      for (Word *Slot : Roots.ReusedSlotRoots)
-        M.markSeed(*Slot);
-      for (Word Bits : Satb.values())
-        M.markSeed(Bits);
-      Satb.clear();
-      auto SeedAll = [&](const Space &S) {
-        S.walk([&](Word *Payload, Word, bool Forwarded) {
-          if (!Forwarded)
-            M.markSeed(reinterpret_cast<Word>(Payload));
-        });
-      };
-      SeedAll(*NurseryFrom);
-      if (AgedTenuring())
-        SeedAll(*NurseryTo);
-      TenuredFrom->walk([&](Word *Payload, Word, bool Forwarded) {
-        if (!Forwarded && Payload - HeaderWords >= IncTenuredDeltaFrom)
-          M.markSeed(reinterpret_cast<Word>(Payload));
-      });
-      for (Word *Payload : IncNewLOS)
+  runMarkCompact(*IncMC, NeedTenuredBytes);
+}
+
+void GenerationalCollector::closeIncrementalMark(MarkCompact &M) {
+  GcTelemetry::PhaseScope PS(Tel, GcPhase::IncrementalMark);
+  // Close the snapshot: fresh roots, the deletion-barrier backlog, and
+  // every cycle-era allocation (all young objects, the tenured delta,
+  // large objects born mid-cycle), then drain to empty. Dead cycle-era
+  // objects ride along as the cycle's one-epoch float.
+  M.enableYoungMarking();
+  seedRootValues(M);
+  for (Word Bits : Satb.values())
+    M.markSeed(Bits);
+  Satb.clear();
+  auto SeedAll = [&](const Space &S) {
+    S.walk([&](Word *Payload, Word, bool Forwarded) {
+      if (!Forwarded)
         M.markSeed(reinterpret_cast<Word>(Payload));
-      M.markStep(~0ull);
-      M.finishIncrementalMark();
-    }
-    Stats.MarkWorkerFaults += M.workerFaults();
-    if (M.serialRecovered())
-      ++Stats.MarkSerialRecoveries;
-
-    completeMarkedMajor(M, NeedTenuredBytes);
-    ConsecutiveMcFailovers = 0;
-  } catch (const MarkPlanFault &) {
-    // Plan/pre-commit fault: same failover contract as the stock path —
-    // nothing has moved, so the semispace evacuation finishes the
-    // collection (and with it the cycle; the incremental mark is lost).
-    ++Stats.MajorEngineFailovers;
-    if (++ConsecutiveMcFailovers >= Opts.FailoverStickyLimit)
-      McStickyDisabled = true;
-    if (GcEvent *Ev = Tel.currentEvent())
-      Ev->EngineFailover = true;
-    LOS.clearMarks();
-    FailedOver = true;
-  }
-
-  if (TILGC_UNLIKELY(FailedOver))
-    runMajorEvacuationFallback(NeedTenuredBytes);
-
-  finishMajorEvent();
+    });
+  };
+  SeedAll(*NurseryFrom);
+  if (AgedTenuring())
+    SeedAll(*NurseryTo);
+  TenuredFrom->walk([&](Word *Payload, Word, bool Forwarded) {
+    if (!Forwarded && Payload - HeaderWords >= IncTenuredDeltaFrom)
+      M.markSeed(reinterpret_cast<Word>(Payload));
+  });
+  for (Word *Payload : IncNewLOS)
+    M.markSeed(reinterpret_cast<Word>(Payload));
+  M.markStep(~0ull);
+  M.finishIncrementalMark();
 }
 
 void GenerationalCollector::satbRecord(Word OldBits) {

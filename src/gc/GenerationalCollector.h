@@ -33,6 +33,7 @@
 
 #include "gc/Collector.h"
 #include "gc/GcOptions.h"
+#include "gc/MarkCompact.h"
 #include "gc/RememberedSet.h"
 #include "heap/LargeObjectSpace.h"
 #include "heap/RegionManager.h"
@@ -46,10 +47,6 @@
 
 namespace tilgc {
 
-class Evacuator;
-class MarkCompact;
-class WorkerPool;
-
 /// Two-generation copying collector with LOS, SSB/cards, stack markers,
 /// pretenuring and tenure-policy options.
 class GenerationalCollector : public Collector {
@@ -61,19 +58,13 @@ public:
 
   /// \p Opts must outlive the collector (the owning Mutator's config).
   GenerationalCollector(const CollectorEnv &Env, const GcOptions &Opts);
-  ~GenerationalCollector() override;
 
   Word *allocate(ObjectKind Kind, uint32_t LenWords, uint32_t PtrMask,
                  uint32_t SiteId) override;
   void writeBarrier(Word *Slot) override { RS.record(Slot); }
   void collect(bool Major) override;
   uint64_t liveBytesAfterLastGC() const override { return LiveBytes; }
-  MarkerManager *markerManager() override {
-    return Opts.UseStackMarkers ? &Markers : nullptr;
-  }
-  bool verifyHeapNow(std::string &Error) const override {
-    return runVerifier(Error);
-  }
+  bool verifyHeapNow(std::string &Error) const override;
 
   /// Introspection for tests.
   bool inNursery(const Word *P) const {
@@ -157,13 +148,12 @@ private:
   /// evacuateMajorInto, then release the old space and re-bind the region
   /// overlay, so the 2x reservation is transient rather than standing.
   void evacuateAndReleaseOld(size_t ReserveBytes);
-  /// Runs one evacuation on the serial or the parallel engine: hands off
-  /// the root spans in the serial order (stack, registers, reused frames
-  /// when \p ProcessReused, and for a minor the promotion-created slots and
-  /// the heap-side batch), copies, and folds the totals into the stats and
-  /// the open event.
-  template <typename EngineT>
-  void runEvacuation(EngineT &E, bool Major, bool ProcessReused);
+  /// Tenured room a major leaves for the next minor's worst case: a full
+  /// nursery plus the parallel engine's block slack.
+  size_t minorHeadroomBytes() const;
+  /// Post-major from-space poisoning (when shouldPoison()): the young
+  /// spaces' free space and \p Tenured's. Returns whether it poisoned.
+  bool poisonAfterMajor(Space &Tenured);
   /// Samples Stats.MaxFootprintBytes against the current footprint.
   void noteFootprint();
   /// Sweeps the large-object space, reporting deaths to the profiler.
@@ -205,9 +195,6 @@ private:
     GenerationalCollector &C;
   };
 
-  /// Scans the stack into Roots, accounting time and counters.
-  void scanStackForRoots();
-
   /// Enumerates write-barrier output, remembered pretenured regions and
   /// new large objects — the minor collection's heap-side roots — into
   /// \p Fn(Word *Slot). Shared by the serial path (Fn forwards the slot
@@ -219,16 +206,6 @@ private:
 
   /// nursery + both tenured spaces + LOS footprint.
   size_t footprintBytes() const;
-
-  /// Whether this collection should poison evacuated from-space
-  /// (VerifyLevel >= 3 or the FromSpacePoison fault point).
-  bool shouldPoison() const;
-
-  /// Builds the verifier over the live spaces and runs it.
-  bool runVerifier(std::string &Error) const;
-
-  /// Level >= 1 post-collection heap validation; aborts on corruption.
-  void maybeVerifyHeap(const char *Phase) const;
 
   /// Level >= 2 pre-minor audit: every tenured/LOS slot holding a young
   /// pointer must be covered by the roots the minor collection is about to
@@ -286,9 +263,23 @@ private:
   /// SATB backlog, cycle-era allocations), full drain, then the shared
   /// post-mark body. Any forced major during a live cycle lands here.
   void finishIncrementalCycle(size_t NeedTenuredBytes, GcTrigger Trigger);
-  /// Everything after a completed MARK phase, shared verbatim between
-  /// doMajorMarkCompact and finishIncrementalCycle: plan, fit-or-grow
-  /// decision, compact or evacuating grow, stats and space resets.
+  /// The one mark-compact engine configuration; \p Abortable wires the
+  /// watchdog's recover latch (stock majors only: an incremental cycle
+  /// answers a recover request with its finish, not an abort).
+  MarkCompact::Config markCompactConfig(bool Abortable);
+  /// Seeds \p M with the values of every root slot (cycle start and close).
+  void seedRootValues(MarkCompact &M);
+  /// The mark-compact major shared by doMajorMarkCompact and
+  /// finishIncrementalCycle: hands \p M the root spans, marks (stock
+  /// mark, or closes the live incremental cycle's mark), completes it, and
+  /// on a MarkPlanFault fails over to the semispace evacuation. Closes the
+  /// major event either way.
+  void runMarkCompact(MarkCompact &M, size_t NeedTenuredBytes);
+  /// The finish's final seeds (roots, SATB backlog, cycle-era allocations)
+  /// and full drain, closing the incremental mark.
+  void closeIncrementalMark(MarkCompact &M);
+  /// Everything after a completed MARK phase: plan, fit-or-grow decision,
+  /// compact or evacuating grow, stats and space resets.
   void completeMarkedMajor(MarkCompact &M, size_t NeedTenuredBytes);
   /// VerifyLevel >= 2 between-slice audit: simulates the finish drain
   /// (roots + grey + SATB + cycle-era allocations, never re-expanding
@@ -303,7 +294,6 @@ private:
   void forEachLiveObject(
       const std::function<void(Word *, Word)> &Fn) const override;
 
-  const GcOptions &Opts;
   Space NurseryA, NurseryB;
   Space *NurseryFrom = &NurseryA;
   Space *NurseryTo = &NurseryB; ///< Reserved only under aged tenuring.
@@ -311,16 +301,12 @@ private:
   Space *TenuredFrom = &TenuredA;
   Space *TenuredTo = &TenuredB;
   LargeObjectSpace LOS;
-  /// Present only when Opts.GcThreads > 1.
-  std::unique_ptr<WorkerPool> Pool;
   /// The write barrier's output: old->young slots for the next minor.
   RememberedSet RS;
   /// Region overlay over TenuredFrom (mark-compact mode only). Re-attached
   /// whenever the tenured space is re-reserved (growth fallback), under the
   /// same epoch-binding contract as the card table and crossing map.
   RegionManager Regions;
-  MarkerManager Markers;
-  ScanCache Cache;
 
   /// Per-site pretenure decision: 0 = no, 1 = pretenure, 2 = pretenure and
   /// skip the region scan (§7.2).
@@ -360,9 +346,6 @@ private:
   uint64_t PretenuredBytesAtLastGC = 0;
   /// Stats.CrossingMapUpdates watermark (same per-collection-delta role).
   uint64_t CrossingUpdatesAtLastGC = 0;
-  /// True while TenuredTo sits idle fully poisoned (checked for wild
-  /// writes at the next major's entry).
-  bool TenuredToPoisonValid = false;
   /// GC-cycle supervisor; its thread starts lazily on the first armed
   /// window, so a zero deadline never pays for it.
   Watchdog WD;
@@ -389,7 +372,8 @@ private:
   /// Nursery-allocation pacing: a slice is due when the nursery has grown
   /// past this watermark; reset after each slice and each minor.
   size_t IncNextSliceNurseryBytes = 0;
-  /// One stride of the slice schedule (~1/256 nursery load), recomputed at
+  /// One stride of the slice schedule (1/128 nursery load, see
+  /// incrementalStrideBytes), recomputed at
   /// cycle start, after each slice, and at each minor's tail.
   size_t IncSliceStrideBytes = 0;
   /// Large-object bytes allocated since the last slice (the second pacing

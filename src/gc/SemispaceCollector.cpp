@@ -6,12 +6,8 @@
 
 #include "gc/SemispaceCollector.h"
 
-#include "gc/Evacuator.h"
 #include "gc/HeapVerifier.h"
-#include "gc/ParallelEvacuator.h"
-#include "support/Fatal.h"
 #include "support/Table.h"
-#include "support/WorkerPool.h"
 
 #include <algorithm>
 #include <cstring>
@@ -20,19 +16,11 @@ using namespace tilgc;
 
 SemispaceCollector::SemispaceCollector(const CollectorEnv &Env,
                                        const GcOptions &Opts)
-    : Collector(Env), Opts(Opts), Markers(Opts.MarkerPeriod) {
-  Markers.setAdaptive(Opts.AdaptiveMarkerPlacement);
+    : Collector(Env, Opts) {
   size_t PerSpace =
       std::clamp<size_t>(Opts.BudgetBytes / 2, 16u << 10, 4u << 20);
   SpaceA.reserve(PerSpace);
   SpaceB.reserve(PerSpace);
-  // Root-side containers live for the collector's lifetime; reserving here
-  // means steady-state collections never grow them.
-  Roots.reserve(1024);
-  Cache.reserve(256, 1024);
-  RegRootAddrs.reserve(NumRegisters);
-  if (Opts.GcThreads > 1)
-    Pool = std::make_unique<WorkerPool>(Opts.GcThreads);
   noteFootprint();
 }
 
@@ -41,8 +29,6 @@ void SemispaceCollector::noteFootprint() {
   if (F > Stats.MaxFootprintBytes)
     Stats.MaxFootprintBytes = F;
 }
-
-SemispaceCollector::~SemispaceCollector() = default;
 
 Word *SemispaceCollector::allocate(ObjectKind Kind, uint32_t LenWords,
                                    uint32_t PtrMask, uint32_t SiteId) {
@@ -76,24 +62,14 @@ void SemispaceCollector::collectInternal(size_t NeedBytes, GcTrigger Trigger) {
   TimerScope GcScope(Stats.GcTime);
   FaultInjector::ScopedGcPhase GcPhase;
 
-  // Inactive has sat idle since the last collection; if it was left
-  // poisoned, any clobbered word is a wild write through a stale pointer.
-  if (TILGC_UNLIKELY(InactivePoisonValid)) {
-    if (const Word *Bad = Inactive->findPoisonViolation())
-      fatalError("from-space poison clobbered at %p before semispace GC "
-                 "#%llu (holds %llx): wild write through a stale pointer",
-                 (const void *)Bad, (unsigned long long)(Stats.NumGC + 1),
-                 (unsigned long long)*Bad);
-    InactivePoisonValid = false;
-  }
+  // Inactive has sat idle since the last collection.
+  checkIdleSpacePoison("semispace");
 
   // Worst case the to-space must absorb: everything live plus the
   // allocation that triggered us (plus per-worker block-tail padding
   // slack in parallel mode).
-  size_t WorstCase = Active->usedBytes() + NeedBytes;
-  if (Pool)
-    WorstCase += ParallelEvacuator::reserveSlackBytes(Active->usedBytes(),
-                                                      Opts.GcThreads);
+  size_t WorstCase = Active->usedBytes() + NeedBytes +
+                     parallelSlackBytes(Active->usedBytes());
 
   // Hard-cap pre-flight, BEFORE any object moves: if the peak footprint of
   // this collection (to-space grown to the worst case if it needs growing)
@@ -113,27 +89,7 @@ void SemispaceCollector::collectInternal(size_t NeedBytes, GcTrigger Trigger) {
   ++Stats.NumMajorGC;
   Tel.beginCollection(GcGeneration::Major, Trigger, Stats.NumGC);
   accountStackAtGC();
-
-  // Root scan.
-  {
-    TimerScope StackScope(Stats.StackTime);
-    GcTelemetry::PhaseScope PS(Tel, GcPhase::StackScan);
-    LastScan = ScanStats();
-    bool UseMarkers = Opts.UseStackMarkers;
-    StackScanner::scan(*Env.Stack, *Env.Regs, UseMarkers ? &Markers : nullptr,
-                       UseMarkers ? &Cache : nullptr, Roots, LastScan,
-                       Opts.CompiledScanPlans);
-    Stats.FramesScanned += LastScan.FramesScanned;
-    Stats.FramesReused += LastScan.FramesReused;
-    Stats.SlotsVisited += LastScan.SlotsVisited;
-    Stats.PlanWordsScanned += LastScan.PlanWordsScanned;
-    gatherRegRoots();
-    scanExtraContexts(Opts.CompiledScanPlans);
-    if (GcEvent *Ev = Tel.currentEvent()) {
-      Ev->FramesScanned = LastScan.FramesScanned;
-      Ev->FramesReused = LastScan.FramesReused;
-    }
-  }
+  scanRoots();
 
   if (Inactive->capacityBytes() < WorstCase) {
     GcTelemetry::PhaseScope PS(Tel, GcPhase::Resize);
@@ -145,65 +101,14 @@ void SemispaceCollector::collectInternal(size_t NeedBytes, GcTrigger Trigger) {
 
   // Copy phase. Every object moves, so reused stack roots are processed
   // too — the marker win here is only the avoided re-decoding.
-  {
-    TimerScope CopyScope(Stats.CopyTime);
-    Evacuator::Config C;
-    C.From = {Active, nullptr, nullptr};
-    C.Dest = Inactive;
-    C.Profiler = Env.Profiler;
-    C.CountSurvivedFirst = true;
-    C.Telemetry = &Tel;
-    // Batched root pipeline: whole spans, in the serial engine's order.
-    if (Pool) {
-      ParallelEvacuator E(C, *Pool);
-      {
-        GcTelemetry::PhaseScope PS(Tel, GcPhase::RootHandoff);
-        E.addRootSpan(Roots.FreshSlotRoots.data(),
-                      Roots.FreshSlotRoots.size());
-        E.addRootSpan(Roots.ReusedSlotRoots.data(),
-                      Roots.ReusedSlotRoots.size());
-        E.addRootSpan(RegRootAddrs.data(), RegRootAddrs.size());
-      }
-      {
-        GcTelemetry::PhaseScope PS(Tel, GcPhase::Copy);
-        E.run();
-      }
-      Stats.BytesCopied += E.bytesCopied();
-      Stats.ObjectsCopied += E.objectsCopied();
-      Stats.MajorBytesMoved += E.bytesCopied();
-      Stats.EvacWorkerFaults += E.workerFaults();
-      if (E.workerFaults())
-        ++Stats.EvacSerialRecoveries;
-      if (GcEvent *Ev = Tel.currentEvent()) {
-        Ev->BytesCopied = E.bytesCopied();
-        Ev->ObjectsCopied = E.objectsCopied();
-        Ev->Workers = Opts.GcThreads;
-        Ev->WorkerFaults = E.workerFaults();
-        Ev->SerialRecovery = E.workerFaults() > 0;
-      }
-    } else {
-      Evacuator E(C);
-      {
-        GcTelemetry::PhaseScope PS(Tel, GcPhase::RootHandoff);
-        E.forwardRootSpan(Roots.FreshSlotRoots.data(),
-                          Roots.FreshSlotRoots.size());
-        E.forwardRootSpan(Roots.ReusedSlotRoots.data(),
-                          Roots.ReusedSlotRoots.size());
-        E.forwardRootSpan(RegRootAddrs.data(), RegRootAddrs.size());
-      }
-      {
-        GcTelemetry::PhaseScope PS(Tel, GcPhase::Copy);
-        E.drain();
-      }
-      Stats.BytesCopied += E.bytesCopied();
-      Stats.ObjectsCopied += E.objectsCopied();
-      Stats.MajorBytesMoved += E.bytesCopied();
-      if (GcEvent *Ev = Tel.currentEvent()) {
-        Ev->BytesCopied = E.bytesCopied();
-        Ev->ObjectsCopied = E.objectsCopied();
-      }
-    }
-  }
+  Evacuator::Config C;
+  C.From = {Active, nullptr, nullptr};
+  C.Dest = Inactive;
+  C.Profiler = Env.Profiler;
+  C.CountSurvivedFirst = true;
+  C.Telemetry = &Tel;
+  Stats.MajorBytesMoved += evacuate(
+      C, {&Roots.FreshSlotRoots, &Roots.ReusedSlotRoots, &RegRootAddrs});
 
   sweepDeaths(*Active);
 
@@ -226,9 +131,7 @@ void SemispaceCollector::collectInternal(size_t NeedBytes, GcTrigger Trigger) {
     // absorb — but never below MinSize (this collection already succeeded;
     // the next one's pre-flight throws if MinSize itself breaches the cap).
     if (TILGC_UNLIKELY(Opts.HardLimitBytes)) {
-      size_t Room = Opts.HardLimitBytes > Active->capacityBytes()
-                        ? Opts.HardLimitBytes - Active->capacityBytes()
-                        : 0;
+      size_t Room = hardCapRoom(Active->capacityBytes());
       Desired = std::clamp(Desired, MinSize, std::max(Room, MinSize));
     }
     Inactive->reserve(Desired);
@@ -239,34 +142,18 @@ void SemispaceCollector::collectInternal(size_t NeedBytes, GcTrigger Trigger) {
 
     if (TILGC_UNLIKELY(shouldPoison())) {
       Inactive->poisonFreeSpace();
-      InactivePoisonValid = true;
+      watchIdleSpace(*Inactive);
     }
   }
-  maybeVerifyHeap();
+  maybeVerifyHeap("semispace");
   Tel.endCollection();
 }
 
-bool SemispaceCollector::shouldPoison() const {
-  if (Opts.VerifyLevel >= 3)
-    return true;
-  return TILGC_UNLIKELY(FaultInjector::enabled()) &&
-         FaultInjector::global().shouldFire(FaultPoint::FromSpacePoison);
-}
-
-bool SemispaceCollector::runVerifier(std::string &Error) const {
+bool SemispaceCollector::verifyHeapNow(std::string &Error) const {
   HeapVerifier V;
   V.addSpace(Active, "active");
   V.setPoisonPattern(Space::PoisonPattern);
   return V.verifyHeap(Error);
-}
-
-void SemispaceCollector::maybeVerifyHeap() const {
-  if (TILGC_LIKELY(Opts.VerifyLevel < 1))
-    return;
-  std::string Error;
-  if (!runVerifier(Error))
-    fatalError("heap verification failed after semispace GC #%llu: %s",
-               (unsigned long long)Stats.NumGC, Error.c_str());
 }
 
 void SemispaceCollector::appendHeapState(std::string &Out) const {

@@ -24,11 +24,7 @@
 #include "gc/GcOptions.h"
 #include "heap/Space.h"
 
-#include <memory>
-
 namespace tilgc {
-
-class WorkerPool;
 
 /// Two-space copying collector.
 class SemispaceCollector : public Collector {
@@ -36,19 +32,13 @@ public:
   /// \p Opts must outlive the collector (the owning Mutator's config).
   /// Reads the sizing, stack-scanning, VerifyLevel and GcThreads fields.
   SemispaceCollector(const CollectorEnv &Env, const GcOptions &Opts);
-  ~SemispaceCollector() override;
 
   Word *allocate(ObjectKind Kind, uint32_t LenWords, uint32_t PtrMask,
                  uint32_t SiteId) override;
   void writeBarrier(Word *Slot) override { (void)Slot; }
   void collect(bool Major) override;
   uint64_t liveBytesAfterLastGC() const override { return LiveBytes; }
-  MarkerManager *markerManager() override {
-    return Opts.UseStackMarkers ? &Markers : nullptr;
-  }
-  bool verifyHeapNow(std::string &Error) const override {
-    return runVerifier(Error);
-  }
+  bool verifyHeapNow(std::string &Error) const override;
 
   /// Mutator fast path: everything bump-allocates into the active space.
   bool siteAllowsInlineAlloc(uint32_t SiteId) const override {
@@ -67,35 +57,18 @@ private:
   /// anything). \p Trigger is recorded in the telemetry event.
   void collectInternal(size_t NeedBytes, GcTrigger Trigger);
 
-  /// Whether this collection should poison the evacuated from-space.
-  bool shouldPoison() const;
-
   /// Samples Stats.MaxFootprintBytes against both semispace capacities.
   void noteFootprint();
-
-  /// Builds the verifier over the active space and runs it.
-  bool runVerifier(std::string &Error) const;
-
-  /// VerifyLevel >= 1 post-collection validation; aborts on corruption.
-  void maybeVerifyHeap() const;
 
   // Collector heap-dump hooks.
   void appendHeapState(std::string &Out) const override;
   void forEachLiveObject(
       const std::function<void(Word *, Word)> &Fn) const override;
 
-  const GcOptions &Opts;
   Space SpaceA, SpaceB;
   Space *Active = &SpaceA;
   Space *Inactive = &SpaceB;
   uint64_t LiveBytes = 0;
-  /// True while Inactive sits idle fully poisoned (checked for wild writes
-  /// at the next collection's entry).
-  bool InactivePoisonValid = false;
-  MarkerManager Markers;
-  ScanCache Cache;
-  /// Present only when Opts.GcThreads > 1.
-  std::unique_ptr<WorkerPool> Pool;
 };
 
 } // namespace tilgc

@@ -11,6 +11,7 @@
 #include "runtime/MutatorGroup.h"
 #include "support/Fatal.h"
 #include "support/FaultInjector.h"
+#include "support/Table.h"
 
 #include <algorithm>
 #include <cstdlib>
@@ -22,13 +23,24 @@ static const char *nameOf(const MutatorConfig &C) {
   return C.Name.empty() ? "<unnamed>" : C.Name.c_str();
 }
 
-Mutator::Mutator(const MutatorConfig &Config) : Config(Config) {
+std::string tilgc::validate(const MutatorConfig &Config, unsigned Mutators) {
+  if (Mutators == 0)
+    return "mutator group needs at least one mutator";
+  if (Mutators > 1 && Config.UseStackMarkers)
+    return "multi-mutator mode is incompatible with stack markers: the "
+           "scan cache covers a single stack";
   if (Config.MaxPauseMicros > 0 &&
       (Config.Kind != CollectorKind::Generational ||
        Config.MajorGc != MajorGcKind::MarkCompact))
-    fatalError("%s: MaxPauseMicros needs the generational collector with "
-               "MajorGc = MarkCompact",
-               nameOf(Config));
+    return formatString("%s: MaxPauseMicros needs the generational "
+                        "collector with MajorGc = MarkCompact",
+                        nameOf(Config));
+  return std::string();
+}
+
+Mutator::Mutator(const MutatorConfig &Config) : Config(Config) {
+  if (std::string Error = validate(Config, 1); !Error.empty())
+    fatalError("%s", Error.c_str());
   if (Config.EnableProfiling)
     Profiler = std::make_unique<HeapProfiler>();
 

@@ -93,6 +93,13 @@ struct MutatorConfig : GcOptions {
   size_t TelemetryRingEvents = 4096;
 };
 
+/// The one validity predicate for runtime configurations: why \p Config
+/// cannot run with \p Mutators mutator threads sharing one heap (1 = a
+/// standalone Mutator, N = a MutatorGroup of N), or an empty string if it
+/// can. The Mutator and MutatorGroup constructors fatalError on a
+/// non-empty result, so unsupported combinations fail at construction.
+std::string validate(const MutatorConfig &Config, unsigned Mutators);
+
 /// The value an SML `raise` transports, plus the handler it targets.
 /// Returned by Mutator::raise after the shadow stack has already been
 /// unwound, then returned by every C++ function up to the handler site;

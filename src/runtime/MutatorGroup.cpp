@@ -16,11 +16,8 @@ using namespace tilgc;
 
 MutatorGroup::MutatorGroup(const MutatorConfig &Config, unsigned NumMutators)
     : SP(NumMutators) {
-  if (NumMutators == 0)
-    fatalError("mutator group needs at least one mutator");
-  if (Config.UseStackMarkers)
-    fatalError("multi-mutator mode is incompatible with stack markers: the "
-               "scan cache covers a single stack");
+  if (std::string Error = validate(Config, NumMutators); !Error.empty())
+    fatalError("%s", Error.c_str());
 
   Muts.reserve(NumMutators);
   Muts.push_back(std::make_unique<Mutator>(Config));

@@ -30,8 +30,8 @@
 /// match a serial run exactly; only the interleaving of per-thread
 /// allocation into birth stamps varies.
 ///
-/// Stack markers are rejected: the §5 scan cache memoizes a single stack's
-/// scan state and cannot cover N stacks.
+/// Stack markers are rejected for N > 1: the §5 scan cache memoizes a
+/// single stack's scan state and cannot cover N stacks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,7 +51,8 @@ namespace tilgc {
 class MutatorGroup {
 public:
   /// Builds \p NumMutators mutators sharing one collector configured by
-  /// \p Config. Fatal if NumMutators is 0 or Config enables stack markers.
+  /// \p Config. Fatal if validate(Config, NumMutators) finds a problem
+  /// (no mutators, stack markers with more than one, ...).
   MutatorGroup(const MutatorConfig &Config, unsigned NumMutators);
   ~MutatorGroup();
   MutatorGroup(const MutatorGroup &) = delete;

@@ -41,7 +41,7 @@ MutatorConfig markerConfig(unsigned Period) {
   C.BudgetBytes = 256u << 10;
   C.UseStackMarkers = true;
   C.MarkerPeriod = Period;
-  C.VerifyReuseInvariant = true;
+  C.VerifyLevel = 2;
   return C;
 }
 

@@ -248,6 +248,79 @@ TEST(MultiMutatorTlab, SingleMutatorGroupKeepsSerialTotals) {
   runDifferential("Checksum", C, 1, Scale, S);
 }
 
+TEST(MultiMutatorTlab, SingleMutatorGroupWithStackMarkers) {
+  // One mutator means one stack, which the §5 scan cache covers: a group
+  // of one accepts markers and keeps the serial totals.
+  const double Scale = 0.08;
+  MutatorConfig C = groupConfig("mm-k1-markers", CollectorKind::Generational);
+  C.UseStackMarkers = true;
+  C.VerifyLevel = 2;
+  SerialBaseline S = serialBaseline("Checksum", C, Scale);
+  runDifferential("Checksum", C, 1, Scale, S);
+}
+
+//===----------------------------------------------------------------------===//
+// Configuration validity: one predicate behind Mutator and MutatorGroup.
+//===----------------------------------------------------------------------===//
+
+TEST(MultiMutatorConfig, ValidateRejectsEveryUnsupportedCombination) {
+  struct Case {
+    const char *What;
+    MutatorConfig C;
+    unsigned Mutators;
+  };
+  auto Gen = [] {
+    MutatorConfig C;
+    C.Kind = CollectorKind::Generational;
+    return C;
+  };
+  std::vector<Case> Invalid;
+  Invalid.push_back({"zero mutators", Gen(), 0});
+  {
+    MutatorConfig C = Gen();
+    C.UseStackMarkers = true;
+    Invalid.push_back({"markers with two mutators", C, 2});
+    C.Kind = CollectorKind::Semispace;
+    Invalid.push_back({"semispace markers with four mutators", C, 4});
+  }
+  {
+    MutatorConfig C = Gen();
+    C.MaxPauseMicros = 100;
+    Invalid.push_back({"budget on the semispace major", C, 1});
+    Invalid.push_back({"budget on the semispace major, grouped", C, 2});
+    C.MajorGc = MajorGcKind::MarkCompact;
+    C.Kind = CollectorKind::Semispace;
+    Invalid.push_back({"budget on the semispace collector", C, 1});
+  }
+  for (const Case &K : Invalid)
+    EXPECT_FALSE(validate(K.C, K.Mutators).empty()) << K.What;
+
+  // The three perfbench configurations (perfbench/gcbench.cpp), plus the
+  // defaults of both collectors.
+  std::vector<Case> Valid;
+  {
+    MutatorConfig C = Gen();
+    C.UseStackMarkers = true;
+    Valid.push_back({"paper-serial", C, 1});
+  }
+  {
+    MutatorConfig C = Gen();
+    C.Barrier = BarrierKind::CardMarking;
+    C.MajorGc = MajorGcKind::MarkCompact;
+    C.MaxPauseMicros = 1000;
+    Valid.push_back({"compact-budget", C, 1});
+  }
+  Valid.push_back({"mutators2", Gen(), 2});
+  Valid.push_back({"generational default", MutatorConfig(), 1});
+  {
+    MutatorConfig C;
+    C.Kind = CollectorKind::Semispace;
+    Valid.push_back({"semispace default", C, 1});
+  }
+  for (const Case &K : Valid)
+    EXPECT_EQ(validate(K.C, K.Mutators), "") << K.What;
+}
+
 //===----------------------------------------------------------------------===//
 // Safepoint protocol.
 //===----------------------------------------------------------------------===//

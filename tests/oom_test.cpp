@@ -463,6 +463,35 @@ TEST(OomProtocolDeath, ShadowStackOverflowDiesStructurally) {
       "slots in use\\) exceeds the capacity of 64 slots");
 }
 
+TEST(OomProtocolDeath, NurseryPointerInReusedFrameDiesAtMinor) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // The §5 skip is sound only while no root in an unchanged frame points
+  // into the nursery. VerifyLevel 2 audits that at every minor collection
+  // that skips reused frames, in every build mode: a nursery pointer
+  // written straight into a marked frame's slot (a store compiled code can
+  // never make) must die naming the slot, not be silently skipped.
+  EXPECT_DEATH(
+      {
+        MutatorConfig C;
+        C.Name = "reuse-audit";
+        C.UseStackMarkers = true;
+        C.MarkerPeriod = 1;
+        C.VerifyLevel = 2;
+        Mutator M(C);
+        Frame Old(M, oomKey());
+        // A root the scan cache records (it skips null slots); the minor
+        // below promotes its referent.
+        Old.set(1, M.allocRecord(oomSite(), 2, 0b10));
+        Frame Top(M, oomKey());
+        M.collect(/*Major=*/false); // Marks both frames: Old is reused.
+        Value Young = M.allocRecord(oomSite(), 2, 0b10);
+        M.stack().slot(Old.base(), 1) = Young.bits();
+        M.collect(/*Major=*/false);
+      },
+      "stack-reuse audit failed at minor GC #2: slot 0x[0-9a-f]+ of a "
+      "reused \\(unchanged\\) frame holds nursery pointer");
+}
+
 //===----------------------------------------------------------------------===//
 // Multi-mutator exhaustion: a hard cap shared by K threads must surface a
 // catchable HeapExhausted on EVERY thread (each unwinds through its own

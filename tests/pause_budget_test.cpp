@@ -25,7 +25,8 @@
 ///    backlogs at safepoint merges; totals and checksums stay exact.
 ///  * Supervision: a GC watchdog with WatchdogPolicy::Recover that barks
 ///    mid-cycle force-finishes the cycle (cooperative recovery), and the
-///    run still completes correctly.
+///    run still completes correctly. A plan fault injected into a finish
+///    fails over to the semispace evacuation like a stock major's.
 ///  * A budget on any engine other than the generational mark-compact one
 ///    is rejected when the Mutator is built, not silently dropped.
 ///
@@ -39,6 +40,7 @@
 
 #include "observe/EventRecorder.h"
 #include "runtime/MutatorGroup.h"
+#include "support/FaultInjector.h"
 #include "workloads/MLLib.h"
 #include "workloads/Workload.h"
 
@@ -380,6 +382,70 @@ TEST(PauseBudgetResilience, RecoverBarkForceFinishesCycle) {
       << "1ms deadline across whole cycles never barked";
   std::string Err;
   EXPECT_TRUE(M.verifyHeap(Err)) << Err;
+}
+
+namespace {
+
+/// Drives a retained list until a cycle is live and has sliced, forces
+/// the finish (with a plan fault injected into it when \p InjectPlanFault),
+/// then keeps allocating through later cycles. Returns a checksum of the
+/// retained list.
+uint64_t runFinishWithPlanFault(bool InjectPlanFault) {
+  Mutator M(budgetConfig(/*MaxPauseMicros=*/100));
+  GenerationalCollector &GC = genGC(M);
+  Frame F(M, keyPb());
+  int64_t I = 0;
+  auto Grow = [&] {
+    F.set(1, consInt(M, sitePb(), I, slot(F, 1)));
+    if (++I % 1024 == 0)
+      F.set(1, Value::null()); // bound the retained data
+  };
+  while (!GC.incrementalCycleLive() && I < 500000)
+    Grow();
+  for (int64_t Stop = I + 200000;
+       GC.incrementalCycleLive() && GC.incrementalSlices() == 0 && I < Stop;)
+    Grow();
+  EXPECT_TRUE(GC.incrementalCycleLive()) << "no live cycle to finish";
+  EXPECT_GT(GC.incrementalSlices(), 0u);
+
+  if (InjectPlanFault)
+    // The next abort-point crossing is the finish's plan phase: the fault
+    // lands after the cycle's mark closed, before anything moved.
+    FaultInjector::global().arm(FaultPoint::MarkPlanThrow, 1,
+                                /*FireCount=*/1);
+  M.collect(/*Major=*/true);
+  FaultInjector::global().reset();
+  EXPECT_FALSE(GC.incrementalCycleLive());
+  EXPECT_FALSE(M.collector().satbLive());
+  EXPECT_EQ(GC.satbPending(), 0u);
+  if (InjectPlanFault) {
+    EXPECT_GE(M.gcStats().MajorEngineFailovers, 1u)
+        << "the injected plan fault never reached the finish's failover";
+    EXPECT_FALSE(GC.markCompactDisabled());
+  }
+  std::string Err;
+  EXPECT_TRUE(M.verifyHeap(Err)) << Err;
+
+  // Later cycles still start, slice and finish on the mark-compact engine.
+  for (int64_t Stop = I + 300000; I < Stop;)
+    Grow();
+  EXPECT_TRUE(M.verifyHeap(Err)) << Err;
+
+  uint64_t Sum = static_cast<uint64_t>(I);
+  for (Value Cell = F.get(1); !Cell.isNull(); Cell = tail(Cell))
+    Sum = Sum * 31 + static_cast<uint64_t>(headInt(Cell));
+  return Sum;
+}
+
+} // namespace
+
+TEST(PauseBudgetResilience, PlanFaultAtFinishFailsOverToEvacuation) {
+  // The finish shares the stock major's failover: an injected plan fault
+  // abandons the cycle's mark, the semispace evacuation completes the
+  // collection, and the cycle state and SATB barrier are torn down.
+  uint64_t Clean = runFinishWithPlanFault(/*InjectPlanFault=*/false);
+  uint64_t Faulted = runFinishWithPlanFault(/*InjectPlanFault=*/true);
+  EXPECT_EQ(Faulted, Clean);
 }
 
 //===----------------------------------------------------------------------===//

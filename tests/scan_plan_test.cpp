@@ -505,8 +505,7 @@ DiffOutcome runDiffWorkload(unsigned Threads, bool CompiledPlans) {
   Cfg.CompiledScanPlans = CompiledPlans;
   Cfg.GcThreads = Threads;
   Cfg.EnableProfiling = true;
-  Cfg.VerifyLevel = 1;
-  Cfg.VerifyReuseInvariant = true;
+  Cfg.VerifyLevel = 2;
   Mutator M(Cfg);
 
   DiffOutcome R;

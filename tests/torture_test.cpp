@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <unordered_map>
 #include <vector>
@@ -245,12 +246,12 @@ std::vector<TortureCase> tortureConfigs() {
   Add("generational_mt4", [](MutatorConfig &C) { C.GcThreads = 4; });
   Add("generational_markers", [](MutatorConfig &C) {
     C.UseStackMarkers = true;
-    C.VerifyReuseInvariant = true;
+    C.VerifyLevel = std::max(C.VerifyLevel, 2u);
   });
   Add("generational_markers_n3", [](MutatorConfig &C) {
     C.UseStackMarkers = true;
     C.MarkerPeriod = 3;
-    C.VerifyReuseInvariant = true;
+    C.VerifyLevel = std::max(C.VerifyLevel, 2u);
   });
   Add("generational_aged2", [](MutatorConfig &C) {
     C.PromoteAgeThreshold = 2;

@@ -52,7 +52,7 @@ std::vector<ConfigCase> testConfigs() {
     C.Kind = CollectorKind::Generational;
     C.BudgetBytes = 1u << 20;
     C.UseStackMarkers = true;
-    C.VerifyReuseInvariant = true;
+    C.VerifyLevel = 2;
     Cases.push_back({"generational_markers", C});
   }
   {
@@ -61,7 +61,7 @@ std::vector<ConfigCase> testConfigs() {
     C.BudgetBytes = 1u << 20;
     C.UseStackMarkers = true;
     C.MarkerPeriod = 3;
-    C.VerifyReuseInvariant = true;
+    C.VerifyLevel = 2;
     Cases.push_back({"generational_markers_period3", C});
   }
   {
