@@ -3,10 +3,10 @@
 // Part of the tilgc project (PLDI'98 GC reproduction).
 //
 // Microbenchmarks for the primitive costs behind the tables: allocation
-// sequences, frame push/pop, raise to a handler, write-barrier flavors, and
-// the stack-scan cost as a function of depth — with and without
-// generational stack collection, which is the per-collection cost Table 5
-// aggregates.
+// sequences, frame push/pop, raise to a handler, write-barrier flavors, a
+// pause-budget mark slice, and the stack-scan cost as a function of depth
+// — with and without generational stack collection, which is the
+// per-collection cost Table 5 aggregates.
 //
 //===----------------------------------------------------------------------===//
 
@@ -192,6 +192,47 @@ void BM_EvacuateLiveListProfiled(benchmark::State &State) {
   evacuateLiveList(State, true);
 }
 BENCHMARK(BM_EvacuateLiveListProfiled)->Arg(20000)->Arg(100000);
+
+/// The fixed cost of a pause-budget mark slice. A retained list grows
+/// until tenured pressure opens an incremental cycle; the first slices
+/// mark it, after which the grey set stays empty. The timed loop then
+/// allocates garbage records, which promote nothing, so the cycle never
+/// finishes and every slice is near-empty, like most of the slices in a
+/// budget-mode run. ns_per_slice is the slices' summed pause (the major
+/// pause histogram: event begin to end) over incrementalSlices(); the
+/// per-allocation time carries the rest, including one minor collection
+/// per 128 slices.
+void BM_MarkSlice(benchmark::State &State) {
+  MutatorConfig C = genConfig();
+  C.BudgetBytes = 8u << 20;
+  C.Barrier = GenerationalCollector::BarrierKind::CardMarking;
+  C.MajorGc = GenerationalCollector::MajorGcKind::MarkCompact;
+  C.MaxPauseMicros = 1000;
+  Mutator M(C);
+  auto &GC = static_cast<GenerationalCollector &>(M.collector());
+  Frame F(M, microKey());
+  for (int64_t I = 0; !GC.incrementalCycleLive() && I < 4000000; ++I)
+    F.set(1, consInt(M, microSite(), I, slot(F, 1)));
+  if (!GC.incrementalCycleLive()) {
+    State.SkipWithError("the retained list never opened a cycle");
+    return;
+  }
+  const PauseHistogram &Pauses = M.telemetry().histogram(GcGeneration::Major);
+  uint64_t Slices = GC.incrementalSlices();
+  uint64_t PauseNs = Pauses.sumNs();
+  for (auto _ : State)
+    F.set(2, M.allocRecord(microSite(), 2, 0b10));
+  Slices = GC.incrementalSlices() - Slices;
+  PauseNs = Pauses.sumNs() - PauseNs;
+  if (!GC.incrementalCycleLive())
+    State.SkipWithError("the cycle finished mid-measurement");
+  State.counters["slices"] = static_cast<double>(Slices);
+  State.counters["ns_per_slice"] =
+      Slices ? static_cast<double>(PauseNs) / static_cast<double>(Slices)
+             : 0.0;
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_MarkSlice);
 
 /// Builds a stack Depth frames deep, then measures minor collections (the
 /// per-GC stack-scan cost Table 5 aggregates). With markers the scan cost

@@ -1084,39 +1084,52 @@ void GenerationalCollector::startIncrementalCycle(bool RescanRoots) {
 void GenerationalCollector::incrementalTick() {
   if (!incrementalSliceDue())
     return;
-  TimerScope Gc(Stats.GcTime);
+  // A slice reads the clock at its two ends; both stamps feed GcTime,
+  // CopyTime, the slice's event and IncrementalMark phase, and its mark
+  // deadline.
+  uint64_t BeginNs = monotonicNs();
+  TimerScope Gc(Stats.GcTime, BeginNs);
   FaultInjector::ScopedGcPhase InGc;
-  runIncrementalSlice();
+  Gc.stopAt(runIncrementalSlice(BeginNs));
 }
 
-void GenerationalCollector::runIncrementalSlice() {
+uint64_t GenerationalCollector::runIncrementalSlice(uint64_t BeginNs) {
   ++Stats.NumGC; // Invalidates mutator fast-path epochs; NumMajorGC is
                  // bumped once, by the finishing collection.
   ++IncSliceCount;
-  Tel.beginCollection(GcGeneration::Major, IncTrigger, Stats.NumGC);
+  Tel.beginCollection(GcGeneration::Major, IncTrigger, Stats.NumGC, BeginNs);
   GcWatchScope WatchScope(*this);
-  {
-    TimerScope T(Stats.CopyTime);
-    GcTelemetry::PhaseScope PS(Tel, GcPhase::IncrementalMark);
-    uint64_t SliceBeginNs = GcTelemetry::nowNs();
+  TimerScope Copy(Stats.CopyTime, BeginNs);
+  Tel.enterPhase(GcPhase::IncrementalMark, BeginNs);
+  // Budget half the pause for the whole slice: the histogram's percentile
+  // reports bucket upper edges (2x resolution), so a half-budget target
+  // keeps the reported p99 under the full budget. The grey drain runs to
+  // the absolute deadline BeginNs + HalfNs.
+  uint64_t HalfNs = static_cast<uint64_t>(Opts.MaxPauseMicros) * 1000 / 2;
+  uint64_t DeadlineNs = BeginNs + HalfNs;
+  if (!Satb.empty()) {
     // The deletion-barrier backlog first: its entries are exactly the
-    // snapshot edges the mutator severed since the last slice.
+    // snapshot edges the mutator severed since the last slice. The drain
+    // spends part of the budget; if it spent all of it, the grey drain
+    // still gets a floor of HalfNs/16 + 1 past it, so marking always
+    // advances even behind a mutation storm.
     for (Word Bits : Satb.values())
       IncMC->markSeed(Bits);
     Satb.clear();
-    // Budget half the pause for the whole slice: the histogram's
-    // percentile reports bucket upper edges (2x resolution), so a
-    // half-budget target keeps the reported p99 under the full budget.
-    // The SATB drain above already spent part of it; the grey-drain gets
-    // the remainder, with a floor so marking always advances even behind
-    // a mutation storm.
-    uint64_t HalfNs = static_cast<uint64_t>(Opts.MaxPauseMicros) * 1000 / 2;
-    uint64_t SpentNs = GcTelemetry::nowNs() - SliceBeginNs;
-    IncMC->markStep(SpentNs < HalfNs ? HalfNs - SpentNs : HalfNs / 16 + 1);
+    uint64_t NowNs = monotonicNs();
+    if (NowNs >= DeadlineNs)
+      DeadlineNs = NowNs + HalfNs / 16 + 1;
   }
-  if (TILGC_UNLIKELY(Opts.VerifyLevel >= 2))
+  IncMC->markStep(DeadlineNs);
+  uint64_t EndNs = monotonicNs();
+  Tel.exitPhase(GcPhase::IncrementalMark, EndNs);
+  Copy.stopAt(EndNs);
+  if (TILGC_UNLIKELY(Opts.VerifyLevel >= 2)) {
+    // Inside the pause and GcTime, outside the phase.
     auditTricolorInvariant();
-  Tel.endCollection();
+    EndNs = monotonicNs();
+  }
+  Tel.endCollection(EndNs);
   // Re-arm both pacing legs relative to the current fill so every slice
   // costs one stride of fresh allocation.
   IncSliceStrideBytes = incrementalStrideBytes();
@@ -1129,7 +1142,9 @@ void GenerationalCollector::runIncrementalSlice() {
   if (TILGC_UNLIKELY(WD.recoverRequested())) {
     WD.clearRecoverRequest();
     finishIncrementalCycle(0, IncTrigger);
+    EndNs = monotonicNs(); // The finish is GC time too.
   }
+  return EndNs;
 }
 
 void GenerationalCollector::finishIncrementalCycle(size_t NeedTenuredBytes,
@@ -1181,7 +1196,7 @@ void GenerationalCollector::closeIncrementalMark(MarkCompact &M) {
   });
   for (Word *Payload : IncNewLOS)
     M.markSeed(reinterpret_cast<Word>(Payload));
-  M.markStep(~0ull);
+  M.markStep(~0ull); // No deadline: drain to empty.
   M.finishIncrementalMark();
 }
 

@@ -255,10 +255,12 @@ private:
   void startIncrementalCycle(bool RescanRoots);
   /// allocate()-entry poll: runs one slice if due.
   void incrementalTick();
-  /// One bounded mark increment: its own major GcEvent, SATB drain,
-  /// budgeted grey-draining, optional tricolor audit, recover-request
-  /// poll (a recover bark finishes the cycle stop-the-world).
-  void runIncrementalSlice();
+  /// One bounded mark increment begun at the clock stamp \p BeginNs: its
+  /// own major GcEvent, SATB drain, deadline-bounded grey-draining,
+  /// optional tricolor audit, recover-request poll (a recover bark
+  /// finishes the cycle stop-the-world). Returns the stamp at which its
+  /// GC work ended.
+  uint64_t runIncrementalSlice(uint64_t BeginNs);
   /// Stop-the-world cycle completion: fresh root scan, final seeds (roots,
   /// SATB backlog, cycle-era allocations), full drain, then the shared
   /// post-mark body. Any forced major during a live cycle lands here.

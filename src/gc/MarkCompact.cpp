@@ -414,22 +414,23 @@ void MarkCompact::markSeed(Word Bits) {
   markObject(reinterpret_cast<Word *>(Bits), *Workers[0]);
 }
 
-bool MarkCompact::markStep(uint64_t BudgetNs) {
+bool MarkCompact::markStep(uint64_t DeadlineNs) {
   assert(Phase == Fresh && !Workers.empty() &&
          "markStep outside an incremental mark");
   Worker &W = *Workers[0];
-  uint64_t Start = GcTelemetry::nowNs();
-  Word *P;
   uint64_t Scanned = 0;
   // No abortPoint here: an injected MarkPlanThrow mid-slice could not be
   // failed over (the heap keeps running between slices), so fault crossings
   // stay confined to the finishing collection's plan/pre-commit points.
-  while (popLocal(W, P)) {
+  // Serial: nothing is ever published to the deque, so the private stack
+  // is the whole grey set.
+  while (!W.Local.empty()) {
+    Word *P = W.Local.back();
+    W.Local.pop_back();
     scanObject(P, W);
     if (TILGC_UNLIKELY((++Scanned & 63) == 0) &&
-        GcTelemetry::nowNs() - Start >= BudgetNs)
-      return W.Local.empty(); // Serial: nothing is ever published to the
-                              // deque, so the private stack is the grey set.
+        GcTelemetry::nowNs() >= DeadlineNs)
+      return W.Local.empty();
   }
   return true;
 }

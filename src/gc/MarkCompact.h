@@ -213,9 +213,11 @@ public:
   /// young pointers.
   void markSeed(Word Bits);
 
-  /// Drains grey work for at most \p BudgetNs wall-clock. Returns true
-  /// when no grey work remains (the slice finished the current closure).
-  bool markStep(uint64_t BudgetNs);
+  /// Drains grey work until the clock (GcTelemetry::nowNs) reaches
+  /// \p DeadlineNs, checking it once per 64 scanned objects, so a deadline
+  /// already past still scans one batch. Returns true when no grey work
+  /// remains (the slice finished the current closure).
+  bool markStep(uint64_t DeadlineNs);
 
   /// Re-enables young-pointer marking for the cycle-finishing collection.
   void enableYoungMarking() { IncSkipYoung = false; }

@@ -6,8 +6,6 @@
 
 #include "observe/GcTelemetry.h"
 
-#include <chrono>
-
 namespace tilgc {
 
 const char *gcPhaseName(GcPhase P) {
@@ -62,17 +60,8 @@ const char *gcGenerationName(GcGeneration G) {
   return G == GcGeneration::Minor ? "minor" : "major";
 }
 
-uint64_t GcTelemetry::nowNs() {
-  using Clock = std::chrono::steady_clock;
-  static const Clock::time_point Epoch = Clock::now();
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                           Epoch)
-          .count());
-}
-
 void GcTelemetry::beginCollection(GcGeneration Gen, GcTrigger Trigger,
-                                  uint64_t Seq) {
+                                  uint64_t Seq, uint64_t NowNs) {
   InCollection = true;
   if (TILGC_UNLIKELY(armed())) {
     // Reset the event in place, keeping the span allocations.
@@ -86,7 +75,7 @@ void GcTelemetry::beginCollection(GcGeneration Gen, GcTrigger Trigger,
     Current.Seq = Seq;
     Current.Gen = Gen;
     Current.Trigger = Trigger;
-    Current.BeginNs = nowNs();
+    Current.BeginNs = NowNs;
     for (uint64_t &E : PhaseEnterNs)
       E = 0;
     consumePendingSafepoint();
@@ -95,7 +84,7 @@ void GcTelemetry::beginCollection(GcGeneration Gen, GcTrigger Trigger,
   } else {
     // Disarmed: only what the always-on histogram needs.
     Current.Gen = Gen;
-    Current.BeginNs = nowNs();
+    Current.BeginNs = NowNs;
     consumePendingSafepoint();
   }
 }
@@ -120,10 +109,10 @@ void GcTelemetry::consumePendingSafepoint() {
   PendingMutatorSpans.clear();
 }
 
-void GcTelemetry::endCollection() {
+void GcTelemetry::endCollection(uint64_t NowNs) {
   if (!InCollection)
     return;
-  Current.EndNs = nowNs();
+  Current.EndNs = NowNs;
   Current.PauseNs =
       Current.EndNs >= Current.BeginNs ? Current.EndNs - Current.BeginNs : 0;
   histogram(Current.Gen).record(Current.PauseNs);
@@ -133,19 +122,18 @@ void GcTelemetry::endCollection() {
   InCollection = false;
 }
 
-void GcTelemetry::enterPhaseSlow(GcPhase P) {
+void GcTelemetry::enterPhaseSlow(GcPhase P, uint64_t NowNs) {
   unsigned I = static_cast<unsigned>(P);
-  uint64_t Now = nowNs();
-  PhaseEnterNs[I] = Now;
+  PhaseEnterNs[I] = NowNs;
   if (Current.PhaseBeginNs[I] == 0)
-    Current.PhaseBeginNs[I] = Now;
+    Current.PhaseBeginNs[I] = NowNs;
 }
 
-void GcTelemetry::exitPhaseSlow(GcPhase P) {
+void GcTelemetry::exitPhaseSlow(GcPhase P, uint64_t NowNs) {
   unsigned I = static_cast<unsigned>(P);
   if (PhaseEnterNs[I] == 0)
     return; // Exit without matching enter (armed mid-phase): ignore.
-  Current.PhaseDurNs[I] += nowNs() - PhaseEnterNs[I];
+  Current.PhaseDurNs[I] += NowNs - PhaseEnterNs[I];
   PhaseEnterNs[I] = 0;
 }
 

@@ -11,7 +11,7 @@
 ///
 /// Cost discipline (mirrors support/FaultInjector.h):
 ///  - Nothing on the allocation path, ever.
-///  - Per collection with no observer: two steady_clock reads plus one
+///  - Per collection with no observer: two clock reads plus one
 ///    histogram increment (the bench tables report pause percentiles
 ///    unconditionally, so histograms cannot be gated), and one relaxed
 ///    load deciding that everything else — phase stamps, event assembly,
@@ -36,6 +36,7 @@
 #include "support/Watchdog.h"
 #include "observe/PauseHistogram.h"
 #include "support/Compiler.h"
+#include "support/Timer.h"
 
 #include <atomic>
 #include <cstdint>
@@ -47,10 +48,11 @@ class GcTelemetry {
 public:
   GcTelemetry() { Current.WorkerSpans.reserve(8); }
 
-  /// Monotonic nanoseconds since the first telemetry use in this process.
-  /// Static so evacuation workers can stamp spans without a telemetry
-  /// reference.
-  static uint64_t nowNs();
+  /// Monotonic nanoseconds since the first clock read in this process:
+  /// the same clock as every Timer (support/Timer.h), so one stamp can
+  /// feed both. Static so evacuation workers can stamp spans without a
+  /// telemetry reference.
+  static uint64_t nowNs() { return monotonicNs(); }
 
   void addObserver(GcObserver *O) {
     if (!O)
@@ -67,13 +69,14 @@ public:
   // --- Collection lifecycle --------------------------------------------
 
   /// Open the event for collection number Seq (== GcStats::NumGC after the
-  /// increment). Always call it; the disarmed path only notes Gen and the
-  /// begin timestamp for the histogram.
-  void beginCollection(GcGeneration Gen, GcTrigger Trigger, uint64_t Seq);
+  /// increment), beginning at \p NowNs. Always call it; the disarmed path
+  /// only notes Gen and the begin timestamp for the histogram.
+  void beginCollection(GcGeneration Gen, GcTrigger Trigger, uint64_t Seq,
+                       uint64_t NowNs = nowNs());
 
-  /// Close the event: computes the pause, feeds the per-generation
-  /// histogram, and (armed) dispatches onGcEnd.
-  void endCollection();
+  /// Close the event at \p NowNs: computes the pause, feeds the
+  /// per-generation histogram, and (armed) dispatches onGcEnd.
+  void endCollection(uint64_t NowNs = nowNs());
 
   /// The in-flight event, or nullptr outside a collection or when
   /// disarmed. Collectors use this to fill counters without re-checking
@@ -84,17 +87,19 @@ public:
 
   // --- Phase accounting -------------------------------------------------
 
-  void enterPhase(GcPhase P) {
-    if (TILGC_UNLIKELY(LivePhasePub))
-      LivePhase.store(static_cast<uint8_t>(P), std::memory_order_relaxed);
+  /// Phase transitions read the clock only when armed.
+  void enterPhase(GcPhase P) { enterPhase(P, stampIfArmed()); }
+  void exitPhase(GcPhase P) { exitPhase(P, stampIfArmed()); }
+  /// Phase transitions at a stamp the caller already read.
+  void enterPhase(GcPhase P, uint64_t NowNs) {
+    publishPhase(static_cast<uint8_t>(P));
     if (TILGC_UNLIKELY(armed()) && InCollection)
-      enterPhaseSlow(P);
+      enterPhaseSlow(P, NowNs);
   }
-  void exitPhase(GcPhase P) {
-    if (TILGC_UNLIKELY(LivePhasePub))
-      LivePhase.store(255, std::memory_order_relaxed);
+  void exitPhase(GcPhase P, uint64_t NowNs) {
+    publishPhase(255);
     if (TILGC_UNLIKELY(armed()) && InCollection)
-      exitPhaseSlow(P);
+      exitPhaseSlow(P, NowNs);
   }
 
   /// RAII phase scope; no-op when disarmed.
@@ -168,8 +173,15 @@ public:
   const PauseHistogram &safepointHistogram() const { return SafepointWaits; }
 
 private:
-  void enterPhaseSlow(GcPhase P);
-  void exitPhaseSlow(GcPhase P);
+  uint64_t stampIfArmed() const {
+    return TILGC_UNLIKELY(armed()) && InCollection ? nowNs() : 0;
+  }
+  void publishPhase(uint8_t Ordinal) {
+    if (TILGC_UNLIKELY(LivePhasePub))
+      LivePhase.store(Ordinal, std::memory_order_relaxed);
+  }
+  void enterPhaseSlow(GcPhase P, uint64_t NowNs);
+  void exitPhaseSlow(GcPhase P, uint64_t NowNs);
   void consumePendingSafepoint();
 
   std::atomic<bool> Armed{false};

@@ -10,6 +10,15 @@
 /// virtual timers; we use steady_clock, which preserves the shapes the
 /// evaluation cares about.
 ///
+/// One clock: monotonicNs() is the only steady_clock read behind every
+/// Timer and every telemetry stamp (GcTelemetry::nowNs forwards to it), so
+/// a stamp read once can feed both. Timer::start/stop and TimerScope take
+/// an optional stamp the caller already read: a pause-budget mark slice
+/// reads the clock at its two ends and hands both stamps to GcTime,
+/// CopyTime, its telemetry event and phase, and its mark deadline. A clock
+/// read costs tens of nanoseconds, about as much as a near-empty slice's
+/// marking work.
+///
 /// Misuse discipline: the checks here used to be assert-only, which meant
 /// an NDEBUG build silently *discarded* accumulated time on a double
 /// start() and returned a stale total from seconds() mid-region.
@@ -33,35 +42,43 @@
 
 #include "support/Compiler.h"
 
-#include <chrono>
 #include <cstdint>
 
 namespace tilgc {
+
+/// Monotonic nanoseconds since the first call in this process. Out of
+/// line, so the epoch's one-time initialization is not inlined into every
+/// timed region.
+uint64_t monotonicNs();
 
 /// An accumulating stopwatch with counted misuse tolerance (see the file
 /// comment).
 class Timer {
 public:
-  void start() {
+  void start() { start(monotonicNs()); }
+
+  /// Starts at \p NowNs, a monotonicNs() stamp the caller already read.
+  void start(uint64_t NowNs) {
     if (TILGC_UNLIKELY(Depth != 0)) {
       ++Depth;
       ++MisuseCount;
       return; // Keep the outer region's start point.
     }
     Depth = 1;
-    Begin = Clock::now();
+    BeginNs = NowNs;
   }
 
-  void stop() {
+  void stop() { stop(monotonicNs()); }
+
+  /// Stops at \p NowNs, a monotonicNs() stamp the caller already read.
+  void stop(uint64_t NowNs) {
     if (TILGC_UNLIKELY(Depth == 0)) {
       ++MisuseCount;
       return;
     }
     if (--Depth != 0)
       return; // Inner stop of a (misused) nest: outermost stop accumulates.
-    AccumulatedNs += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         Clock::now() - Begin)
-                         .count();
+    AccumulatedNs += static_cast<int64_t>(NowNs - BeginNs);
   }
 
   /// Total accumulated time in seconds — a live read: an open region
@@ -69,9 +86,7 @@ public:
   double seconds() const {
     int64_t Ns = AccumulatedNs;
     if (TILGC_UNLIKELY(Depth != 0))
-      Ns += std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                                 Begin)
-                .count();
+      Ns += static_cast<int64_t>(monotonicNs() - BeginNs);
     return static_cast<double>(Ns) * 1e-9;
   }
 
@@ -80,7 +95,7 @@ public:
   void reset() {
     if (TILGC_UNLIKELY(Depth != 0)) {
       ++MisuseCount;
-      Begin = Clock::now();
+      BeginNs = monotonicNs();
     }
     AccumulatedNs = 0;
   }
@@ -95,8 +110,7 @@ public:
   uint64_t misuses() const { return MisuseCount; }
 
 private:
-  using Clock = std::chrono::steady_clock;
-  Clock::time_point Begin;
+  uint64_t BeginNs = 0;
   int64_t AccumulatedNs = 0;
   unsigned Depth = 0;
   uint64_t MisuseCount = 0;
@@ -106,12 +120,27 @@ private:
 class TimerScope {
 public:
   explicit TimerScope(Timer &T) : T(T) { T.start(); }
-  ~TimerScope() { T.stop(); }
+  /// Opens the region at \p BeginNs, a stamp the caller already read.
+  TimerScope(Timer &T, uint64_t BeginNs) : T(T) { T.start(BeginNs); }
+  ~TimerScope() {
+    if (Open)
+      T.stop();
+  }
   TimerScope(const TimerScope &) = delete;
   TimerScope &operator=(const TimerScope &) = delete;
 
+  /// Closes the region early at \p EndNs, a stamp the caller already
+  /// read; the destructor then leaves the timer alone.
+  void stopAt(uint64_t EndNs) {
+    if (Open) {
+      Open = false;
+      T.stop(EndNs);
+    }
+  }
+
 private:
   Timer &T;
+  bool Open = true;
 };
 
 /// RAII region that *pauses* a running Timer (e.g. to exclude GC time from a

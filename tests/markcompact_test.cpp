@@ -16,8 +16,10 @@
 
 #include "runtime/Mutator.h"
 
+#include "gc/MarkCompact.h"
 #include "heap/RegionManager.h"
 #include "observe/EventRecorder.h"
+#include "observe/GcTelemetry.h"
 #include "support/FaultInjector.h"
 #include "workloads/MLLib.h"
 #include "workloads/Workload.h"
@@ -150,6 +152,70 @@ TEST(RegionManagerTest, WalkStartRecordsFirstHeaderOnly) {
   RM.noteWalkStart(Base + RegionManager::RegionWords + 3);
   EXPECT_EQ(RM.firstHeader(0), Base + 5);
   EXPECT_EQ(RM.firstHeader(1), Base + RegionManager::RegionWords + 3);
+}
+
+//===----------------------------------------------------------------------===//
+// Incremental mark step: the deadline and its one-batch progress floor.
+//===----------------------------------------------------------------------===//
+
+TEST(MarkCompactTest, MarkStepPastDeadlineScansOneBatchThenDrains) {
+  // N parents, each pointing at its own child: the seeded grey set (the
+  // parents) spans several 64-object batches, and the drain must reach
+  // the children through the parents.
+  constexpr size_t N = 200;
+  Space S;
+  S.reserve(RegionManager::RegionBytes);
+  RegionManager RM;
+  RM.attach(S);
+  std::vector<Word *> Objects;
+  for (size_t I = 0; I < N; ++I) {
+    Word *Child = S.allocate(header::make(ObjectKind::Record, 2), 0);
+    Word *Parent = S.allocate(header::make(ObjectKind::Record, 2, 0b01), 0);
+    ASSERT_NE(Child, nullptr);
+    ASSERT_NE(Parent, nullptr);
+    Child[0] = Child[1] = Parent[1] = 0;
+    Parent[0] = reinterpret_cast<Word>(Child);
+    Objects.push_back(Child);
+    Objects.push_back(Parent);
+  }
+
+  MarkCompact::Config Cfg;
+  Cfg.Tenured = &S;
+  Cfg.Regions = &RM;
+  MarkCompact M(Cfg);
+  M.beginIncremental();
+  for (size_t I = 1; I < Objects.size(); I += 2)
+    M.markSeed(reinterpret_cast<Word>(Objects[I]));
+  auto GreyCount = [&] {
+    size_t Count = 0;
+    M.forEachGrey([&](Word *) { ++Count; });
+    return Count;
+  };
+  ASSERT_EQ(GreyCount(), N);
+
+  // A deadline already past still scans one batch of 64. The grey stack is
+  // LIFO, so each parent's child is scanned right after it: the batch
+  // blackens 32 parents and their 32 children.
+  uint64_t PastNs = GcTelemetry::nowNs();
+  EXPECT_FALSE(M.markStep(PastNs)) << "returned done with grey work left";
+  EXPECT_EQ(GreyCount(), N - 32);
+
+  // Every further call advances by one batch until the set drains: 2N
+  // scans take ceil(2N / 64) calls in all.
+  size_t Calls = 1;
+  while (!M.markStep(PastNs))
+    ASSERT_LT(++Calls, 2 * N) << "markStep made no progress";
+  EXPECT_EQ(Calls + 1, (2 * N + 63) / 64);
+  EXPECT_EQ(GreyCount(), 0u);
+  for (Word *P : Objects)
+    EXPECT_TRUE(M.incrementalMarked(P));
+
+  // The mark closes like a stock one: everything is live and contiguous,
+  // so the plan keeps every byte in place.
+  M.finishIncrementalMark();
+  EXPECT_EQ(M.plannedTenuredBytes(), S.usedBytes());
+  EXPECT_EQ(M.markedObjects(), 2 * N);
+  EXPECT_EQ(M.bytesMoved(), 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -27,6 +27,9 @@
 ///    mid-cycle force-finishes the cycle (cooperative recovery), and the
 ///    run still completes correctly. A plan fault injected into a finish
 ///    fails over to the semispace evacuation like a stock major's.
+///  * Accounting: a slice's event opens and closes on the same two clock
+///    stamps as its IncrementalMark phase, and the allocation-paced slice
+///    count for a fixed workload does not move.
 ///  * A budget on any engine other than the generational mark-compact one
 ///    is rejected when the Mutator is built, not silently dropped.
 ///
@@ -237,6 +240,63 @@ TEST(PauseBudgetCorrectness, ExplicitMajorForceFinishesLiveCycle) {
     EXPECT_EQ(headInt(Cell), Expect--);
     Cell = tail(Cell);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Slice accounting: a slice's two clock stamps feed every consumer.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Checks every mark slice's event as it closes. A slice is a major event
+/// whose only phase is IncrementalMark; a finish always runs other phases
+/// (at least its root scan), so the count must match incrementalSlices().
+struct SliceAccountingAudit : GcObserver {
+  uint64_t Slices = 0;
+  uint64_t Mismatches = 0;
+  std::string FirstMismatch;
+
+  void onGcEnd(const GcEvent &E) override {
+    constexpr unsigned Mark = static_cast<unsigned>(GcPhase::IncrementalMark);
+    if (E.Gen != GcGeneration::Major || E.PhaseBeginNs[Mark] == 0)
+      return;
+    for (unsigned I = 0; I < NumGcPhases; ++I)
+      if (I != Mark && E.PhaseBeginNs[I] != 0)
+        return;
+    ++Slices;
+    uint64_t MarkNs = E.PhaseDurNs[Mark];
+    if (MarkNs == E.PauseNs && MarkNs == E.phaseTotalNs())
+      return;
+    if (Mismatches++ == 0)
+      FirstMismatch = "seq " + std::to_string(E.Seq) + ": incremental-mark " +
+                      std::to_string(MarkNs) + " ns, pause " +
+                      std::to_string(E.PauseNs) + " ns, phase total " +
+                      std::to_string(E.phaseTotalNs()) + " ns";
+  }
+};
+
+} // namespace
+
+TEST(PauseBudgetAccounting, SliceMarkPhaseIsItsWholePause) {
+  // Knuth-Bendix runs ten cycles at this budget, so slices interleave with
+  // finishes and minors.
+  Workload &W = *findWorkload("Knuth-Bendix");
+  SliceAccountingAudit Audit;
+  MutatorConfig C = budgetConfig(/*MaxPauseMicros=*/200);
+  C.VerifyLevel = 0; // Level 2 audits inside the pause, outside the phase.
+  C.Observer = &Audit;
+  Mutator M(C);
+  ASSERT_EQ(W.run(M, PbScale), W.expected(PbScale));
+  GenerationalCollector &GC = genGC(M);
+
+  // The slice schedule is allocation-paced, so the count is exact: a
+  // change to how a slice is timed must not move it.
+  EXPECT_EQ(GC.incrementalCycles(), 10u);
+  EXPECT_EQ(GC.incrementalSlices(), 3683u);
+  EXPECT_EQ(Audit.Slices, GC.incrementalSlices())
+      << "some slice event ran a phase besides incremental-mark";
+  // One stamp opens the slice's event and its phase, one closes both.
+  EXPECT_EQ(Audit.Mismatches, 0u) << Audit.FirstMismatch;
 }
 
 //===----------------------------------------------------------------------===//
