@@ -133,6 +133,7 @@ void runScanBench(benchmark::State &State, uint32_t Key, bool Compiled,
   uint64_t Slots = 0, PlanWords = 0, Frames = 0, NumRoots = 0;
   for (auto _ : State) {
     ScanStats Stats;
+    Roots.clear();
     StackScanner::scan(Stack, Regs, MMp, Cachep, Roots, Stats, Compiled);
     benchmark::DoNotOptimize(Roots.FreshSlotRoots.data());
     benchmark::DoNotOptimize(Roots.ReusedSlotRoots.data());

@@ -21,63 +21,48 @@
 using namespace tilgc;
 
 Collector::Collector(const CollectorEnv &Env, const GcOptions &Opts)
-    : Env(Env), Opts(Opts), Markers(Opts.MarkerPeriod) {
-  assert(Env.Stack && Env.Regs && "collector needs stack and registers");
+    : Env(Env), Opts(Opts) {
   for (GcObserver *O : Env.Observers)
     Tel.addObserver(O);
-  Markers.setAdaptive(Opts.AdaptiveMarkerPlacement);
   if (Opts.GcThreads > 1)
     Pool = std::make_unique<WorkerPool>(Opts.GcThreads);
   // Root-side containers live for the collector's lifetime; reserving here
   // means steady-state collections never grow them.
   Roots.reserve(1024);
-  Cache.reserve(256, 1024);
-  RegRootAddrs.reserve(NumRegisters);
+  registerContext(Env.Primary);
 }
 
 // Out-of-line virtual anchor.
 Collector::~Collector() = default;
 
+void Collector::registerContext(const MutatorContext &C) {
+  assert(C.Stack && C.Regs && "a mutator context needs stack and registers");
+  assert((C.Markers != nullptr) == Opts.UseStackMarkers &&
+         (C.Cache != nullptr) == Opts.UseStackMarkers &&
+         "a context has markers and a scan cache exactly when markers are on");
+  if (C.Markers) {
+    C.Markers->setPeriod(Opts.MarkerPeriod);
+    C.Markers->setAdaptive(Opts.AdaptiveMarkerPlacement);
+    C.Cache->reserve(256, 1024);
+  }
+  Contexts.push_back(C);
+}
+
 void Collector::scanRoots() {
   TimerScope T(Stats.StackTime);
   GcTelemetry::PhaseScope PS(Tel, GcPhase::StackScan);
-  LastScan = ScanStats();
-  bool UseMarkers = Opts.UseStackMarkers;
-  StackScanner::scan(*Env.Stack, *Env.Regs, UseMarkers ? &Markers : nullptr,
-                     UseMarkers ? &Cache : nullptr, Roots, LastScan,
-                     Opts.CompiledScanPlans);
-  Stats.FramesScanned += LastScan.FramesScanned;
-  Stats.FramesReused += LastScan.FramesReused;
-  Stats.SlotsVisited += LastScan.SlotsVisited;
-  Stats.PlanWordsScanned += LastScan.PlanWordsScanned;
-  RegRootAddrs.clear();
-  for (unsigned R : Roots.RegRoots)
-    RegRootAddrs.push_back(&(*Env.Regs)[R]);
-
-  // Extra mutator contexts (multi-mutator runtime), in registration (=
-  // thread-index) order so root handoff stays deterministic for a fixed
-  // thread count: fresh slot roots append after the primary context's, and
-  // so do register roots. No markers or cache — the reuse optimization is
-  // primary-context only. No contexts, no work: single-mode scans stay
-  // byte-identical.
-  for (const MutatorContext &C : ExtraContexts) {
-    ScanStats S;
-    StackScanner::scan(*C.Stack, *C.Regs, nullptr, nullptr, ExtraRoots, S,
+  ScanStats S;
+  Roots.clear();
+  for (const MutatorContext &C : Contexts)
+    StackScanner::scan(*C.Stack, *C.Regs, C.Markers, C.Cache, Roots, S,
                        Opts.CompiledScanPlans);
-    Stats.FramesScanned += S.FramesScanned;
-    Stats.SlotsVisited += S.SlotsVisited;
-    Stats.PlanWordsScanned += S.PlanWordsScanned;
-    LastScan.FramesScanned += S.FramesScanned;
-    Roots.FreshSlotRoots.insert(Roots.FreshSlotRoots.end(),
-                                ExtraRoots.FreshSlotRoots.begin(),
-                                ExtraRoots.FreshSlotRoots.end());
-    for (unsigned R : ExtraRoots.RegRoots)
-      RegRootAddrs.push_back(&(*C.Regs)[R]);
-  }
-
+  Stats.FramesScanned += S.FramesScanned;
+  Stats.FramesReused += S.FramesReused;
+  Stats.SlotsVisited += S.SlotsVisited;
+  Stats.PlanWordsScanned += S.PlanWordsScanned;
   if (GcEvent *Ev = Tel.currentEvent()) {
-    Ev->FramesScanned = LastScan.FramesScanned;
-    Ev->FramesReused = LastScan.FramesReused;
+    Ev->FramesScanned = S.FramesScanned;
+    Ev->FramesReused = S.FramesReused;
   }
 }
 

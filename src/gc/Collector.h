@@ -6,14 +6,14 @@
 ///
 /// \file
 /// The abstract collector interface the mutator allocates through, plus the
-/// environment (stack, registers, optional profiler) collectors scan.
+/// environment (mutator contexts, optional profiler) collectors scan.
 ///
 /// The semispace and generational collectors are two configurations of one
 /// copying runtime, so the machinery they share lives here, once: the
-/// options, the stack markers and scan cache (§5, §7.1), the evacuation
-/// worker pool, the root scan, the serial/parallel evacuation runner,
-/// from-space poisoning and the post-collection heap audit. Each collector
-/// keeps only its space layout and sizing policy.
+/// options, the list of mutator contexts, the evacuation worker pool, the
+/// root scan, the serial/parallel evacuation runner, from-space poisoning
+/// and the post-collection heap audit. Each collector keeps only its space
+/// layout and sizing policy.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +32,7 @@
 #include "stack/ShadowStack.h"
 #include "stack/StackMarkers.h"
 #include "stack/StackScanner.h"
+#include "support/Compiler.h"
 #include "support/Fatal.h"
 
 #include <cstdint>
@@ -45,11 +46,23 @@ namespace tilgc {
 
 class WorkerPool;
 
-/// What a collector needs from the mutator: the root sources, the optional
-/// profiler, and any telemetry observers. Non-owning.
-struct CollectorEnv {
+/// One mutator thread's root sources: its shadow stack and register file
+/// and, when generational stack collection (§5, §7.1) is on, the stack's
+/// own marker manager and scan cache (both null otherwise). The mutator
+/// owns all four; only its thread writes them between collections, and the
+/// collector reads and re-marks them only while that thread is stopped.
+struct MutatorContext {
   ShadowStack *Stack = nullptr;
   RegisterFile *Regs = nullptr;
+  MarkerManager *Markers = nullptr;
+  ScanCache *Cache = nullptr;
+};
+
+/// What a collector needs from the mutator: the primary mutator's root
+/// sources, the optional profiler, and any telemetry observers.
+/// Non-owning.
+struct CollectorEnv {
+  MutatorContext Primary;
   HeapProfiler *Profiler = nullptr;
   /// Registered before construction so observers see construction-time
   /// telemetry too (pretenure-flip audits fire from the generational
@@ -57,16 +70,10 @@ struct CollectorEnv {
   std::vector<GcObserver *> Observers;
 };
 
-/// One additional mutator thread's root sources (multi-mutator runtime).
-/// The primary context stays in CollectorEnv so single-mutator behavior is
-/// untouched; extra contexts are scanned after it, in registration order.
-struct MutatorContext {
-  ShadowStack *Stack = nullptr;
-  RegisterFile *Regs = nullptr;
-};
-
-/// Abstract copying collector.
-class Collector {
+/// Abstract copying collector. Cache-line aligned: in a mutator group every
+/// thread reads it on each pointer store (satbLive), so it must not share a
+/// line with any thread's writes.
+class alignas(CacheLineBytes) Collector {
 public:
   /// \p Opts must outlive the collector (the owning Mutator's config).
   Collector(const CollectorEnv &Env, const GcOptions &Opts);
@@ -92,11 +99,6 @@ public:
 
   /// Live bytes after the most recent collection.
   virtual uint64_t liveBytesAfterLastGC() const = 0;
-
-  /// The stack-marker manager, if generational stack collection is enabled.
-  MarkerManager *markerManager() {
-    return Opts.UseStackMarkers ? &Markers : nullptr;
-  }
 
   /// Runs a full heap audit now (outside any collection): object headers,
   /// pointer validity, no stale forwarding pointers, no leaked from-space
@@ -170,17 +172,12 @@ public:
   /// when satbLive(); default ignores it (non-incremental collectors).
   virtual void satbRecord(Word OldBits) { (void)OldBits; }
 
-  /// Registers an additional mutator thread's stack and registers as root
-  /// sources (multi-mutator runtime). The world must be stopped (or not
-  /// yet started) around every collection involving these; stack markers
-  /// are rejected because the scan cache memoizes exactly one stack.
-  void registerExtraContext(ShadowStack *Stack, RegisterFile *Regs) {
-    if (markerManager())
-      fatalError("multi-mutator mode is incompatible with stack markers: "
-                 "the scan cache covers a single stack");
-    assert(Stack && Regs && "extra context needs stack and registers");
-    ExtraContexts.push_back(MutatorContext{Stack, Regs});
-  }
+  /// Adds a mutator thread's root sources behind the ones already
+  /// registered (the constructor registers CollectorEnv::Primary first),
+  /// and sets its markers to the configured placement policy. Every
+  /// collection scans every context, in registration order; in the
+  /// multi-mutator runtime the world is stopped around each one.
+  void registerContext(const MutatorContext &C);
 
   /// Metadata word for a new object (public face of makeMeta, for the
   /// mutator fast path).
@@ -227,16 +224,15 @@ protected:
       Env.Profiler->onAlloc(SiteId, Bytes);
   }
 
-  /// Per-collection stack metrics (frame depth, Table 2's new frames).
-  /// Every call bumps FramesAtGCSamples alongside the sums, so the Table 2
-  /// averages stay correct even if some future collection path skips this
-  /// sampling (see GcStats::FramesAtGCSamples). With extra contexts
-  /// registered, depths sum across every mutator's stack.
+  /// Per-collection stack metrics (frame depth, Table 2's new frames),
+  /// summed across every mutator's stack. Every call bumps
+  /// FramesAtGCSamples alongside the sums, so the Table 2 averages stay
+  /// correct even if some future collection path skips this sampling (see
+  /// GcStats::FramesAtGCSamples).
   void accountStackAtGC() {
-    uint64_t Frames = Env.Stack->frameCount();
-    uint64_t NewFrames = Frames - Env.Stack->minFramesSinceMark();
-    Env.Stack->resetWaterMark();
-    for (const MutatorContext &C : ExtraContexts) {
+    uint64_t Frames = 0;
+    uint64_t NewFrames = 0;
+    for (const MutatorContext &C : Contexts) {
       uint64_t F = C.Stack->frameCount();
       Frames += F;
       NewFrames += F - C.Stack->minFramesSinceMark();
@@ -267,21 +263,19 @@ protected:
   }
 
   /// Whether \p Slot lives in any registered mutator's stack or register
-  /// file (primary or extra) — the aged-tenuring filter that keeps stack
-  /// slots out of the cross-generation remembered set.
+  /// file — the aged-tenuring filter that keeps stack slots out of the
+  /// cross-generation remembered set.
   bool mutatorOwnsSlot(const Word *Slot) const {
-    if (Env.Stack->ownsSlot(Slot) || Env.Regs->ownsSlot(Slot))
-      return true;
-    for (const MutatorContext &C : ExtraContexts)
+    for (const MutatorContext &C : Contexts)
       if (C.Stack->ownsSlot(Slot) || C.Regs->ownsSlot(Slot))
         return true;
     return false;
   }
 
-  /// Scans the primary stack (through the markers and scan cache when
-  /// Opts.UseStackMarkers) and every extra context into Roots and
-  /// RegRootAddrs, accounting StackTime, the scan counters and the open
-  /// event's frame fields.
+  /// Scans every mutator context (each through its own markers and scan
+  /// cache when it has them) into Roots, accounting StackTime, the scan
+  /// counters and the open event's frame fields. Each root kind lists the
+  /// contexts in registration order.
   void scanRoots();
 
   /// Root spans in handoff order; null entries are skipped.
@@ -340,21 +334,13 @@ protected:
   const GcOptions &Opts;
   GcStats Stats;
   GcTelemetry Tel;
-  MarkerManager Markers;
-  ScanCache Cache;
   /// Present only when Opts.GcThreads > 1.
   std::unique_ptr<WorkerPool> Pool;
+  /// Every mutator's root sources, in thread-index order; entry 0 is the
+  /// primary mutator (CollectorEnv::Primary).
+  std::vector<MutatorContext> Contexts;
+  /// The last scanRoots() result, all contexts together.
   RootSet Roots;
-  ScanStats LastScan;
-  /// The register roots as slot addresses, so they travel through the
-  /// batched root pipeline as one span: the primary context's, then each
-  /// extra context's (capacity-reusing scratch filled by scanRoots).
-  std::vector<Word *> RegRootAddrs;
-  /// Additional mutator threads' root sources, in thread-index order.
-  std::vector<MutatorContext> ExtraContexts;
-  /// Scratch RootSet for the extra contexts' scans (StackScanner::scan
-  /// clears its output at entry, so one reusable instance serves them all).
-  RootSet ExtraRoots;
 
 private:
   template <typename EngineT>

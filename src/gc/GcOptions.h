@@ -158,10 +158,6 @@ struct GcOptions {
   /// phase abort in MarkCompact fails the major over to a semispace
   /// evacuation. Fatal: terminate with the stall diagnostic.
   WatchdogPolicy WatchdogEscalation = WatchdogPolicy::Recover;
-  /// After this many consecutive major-engine failovers, MarkCompact is
-  /// sticky-disabled and every later major runs the semispace fallback
-  /// (the MMTk lesson: when a plan keeps failing, switch plans).
-  unsigned FailoverStickyLimit = 3;
 };
 
 } // namespace tilgc

@@ -367,7 +367,7 @@ void GenerationalCollector::doMinor(size_t NeedTenuredBytes,
   }
 
   uint64_t TenuredUsedBefore = TenuredFrom->usedBytes();
-  evacuate(C, {&Roots.FreshSlotRoots, &RegRootAddrs,
+  evacuate(C, {&Roots.FreshSlotRoots, &Roots.RegRoots,
                ProcessReused ? &Roots.ReusedSlotRoots : nullptr,
                &CrossGenSlots, &RootBatch});
 
@@ -608,7 +608,7 @@ void GenerationalCollector::evacuateMajorInto(size_t ReserveBytes) {
   // Everything moves in a major collection: reused roots are processed,
   // the saving is only the avoided re-decoding of unchanged frames.
   uint64_t Moved = evacuate(
-      C, {&Roots.FreshSlotRoots, &RegRootAddrs, &Roots.ReusedSlotRoots});
+      C, {&Roots.FreshSlotRoots, &Roots.RegRoots, &Roots.ReusedSlotRoots});
   Stats.MajorBytesMoved += Moved;
   if (GcEvent *Ev = Tel.currentEvent())
     Ev->BytesMoved = Moved;
@@ -697,7 +697,7 @@ MarkCompact::Config GenerationalCollector::markCompactConfig(bool Abortable) {
 void GenerationalCollector::seedRootValues(MarkCompact &M) {
   for (Word *Slot : Roots.FreshSlotRoots)
     M.markSeed(*Slot);
-  for (Word *Slot : RegRootAddrs)
+  for (Word *Slot : Roots.RegRoots)
     M.markSeed(*Slot);
   for (Word *Slot : Roots.ReusedSlotRoots)
     M.markSeed(*Slot);
@@ -713,7 +713,7 @@ void GenerationalCollector::runMarkCompact(MarkCompact &M,
     // the fixup's root-slot rewriting (and a stock mark's trace; an
     // incremental mark consumes the root *values*, seeded at its close).
     M.addRootSpan(Roots.FreshSlotRoots.data(), Roots.FreshSlotRoots.size());
-    M.addRootSpan(RegRootAddrs.data(), RegRootAddrs.size());
+    M.addRootSpan(Roots.RegRoots.data(), Roots.RegRoots.size());
     M.addRootSpan(Roots.ReusedSlotRoots.data(), Roots.ReusedSlotRoots.size());
   }
   bool FailedOver = false;
@@ -737,7 +737,7 @@ void GenerationalCollector::runMarkCompact(MarkCompact &M,
     // (an incremental cycle's mark is lost with it) and finish this
     // collection with a semispace evacuation instead.
     ++Stats.MajorEngineFailovers;
-    if (++ConsecutiveMcFailovers >= Opts.FailoverStickyLimit)
+    if (++ConsecutiveMcFailovers >= FailoverStickyLimit)
       McStickyDisabled = true;
     if (GcEvent *Ev = Tel.currentEvent())
       Ev->EngineFailover = true;
@@ -1242,22 +1242,16 @@ void GenerationalCollector::auditTricolorInvariant() {
 
   // Actual roots right now, via scratch state (the collection-time Roots
   // member must survive untouched for the eventual finish).
-  std::vector<Word> RootVals;
   RootSet ARoots;
-  auto Harvest = [&](ShadowStack &Stack, RegisterFile &Regs) {
-    ScanStats AStats;
-    StackScanner::scan(Stack, Regs, nullptr, nullptr, ARoots, AStats,
+  ScanStats AStats;
+  for (const MutatorContext &C : Contexts)
+    StackScanner::scan(*C.Stack, *C.Regs, nullptr, nullptr, ARoots, AStats,
                        Opts.CompiledScanPlans);
-    for (Word *Slot : ARoots.FreshSlotRoots)
-      RootVals.push_back(*Slot);
-    for (Word *Slot : ARoots.ReusedSlotRoots)
-      RootVals.push_back(*Slot);
-    for (unsigned R : ARoots.RegRoots)
-      RootVals.push_back(Regs[R]);
-  };
-  Harvest(*Env.Stack, *Env.Regs);
-  for (const MutatorContext &C : ExtraContexts)
-    Harvest(*C.Stack, *C.Regs);
+  std::vector<Word> RootVals;
+  for (Word *Slot : ARoots.FreshSlotRoots)
+    RootVals.push_back(*Slot);
+  for (Word *Slot : ARoots.RegRoots)
+    RootVals.push_back(*Slot);
 
   auto IsMarked = [&](Word *P) {
     return IncMC->incrementalMarked(P) || LOS.isMarked(P);

@@ -119,6 +119,11 @@ public:
   uint64_t incrementalSlices() const { return IncSliceCount; }
   uint64_t incrementalCycles() const { return IncCycleCount; }
   size_t satbPending() const { return Satb.size(); }
+  /// After this many consecutive major-engine failovers, MarkCompact is
+  /// sticky-disabled and every later major runs the semispace fallback
+  /// (the MMTk lesson: when a plan keeps failing, switch plans).
+  static constexpr unsigned FailoverStickyLimit = 3;
+
   /// True once FailoverStickyLimit consecutive failovers disabled the
   /// mark-compact engine for this collector's lifetime.
   bool markCompactDisabled() const { return McStickyDisabled; }

@@ -108,7 +108,7 @@ void SemispaceCollector::collectInternal(size_t NeedBytes, GcTrigger Trigger) {
   C.CountSurvivedFirst = true;
   C.Telemetry = &Tel;
   Stats.MajorBytesMoved += evacuate(
-      C, {&Roots.FreshSlotRoots, &Roots.ReusedSlotRoots, &RegRootAddrs});
+      C, {&Roots.FreshSlotRoots, &Roots.ReusedSlotRoots, &Roots.RegRoots});
 
   sweepDeaths(*Active);
 

@@ -26,9 +26,9 @@ static const char *nameOf(const MutatorConfig &C) {
 std::string tilgc::validate(const MutatorConfig &Config, unsigned Mutators) {
   if (Mutators == 0)
     return "mutator group needs at least one mutator";
-  if (Mutators > 1 && Config.UseStackMarkers)
-    return "multi-mutator mode is incompatible with stack markers: the "
-           "scan cache covers a single stack";
+  if (Config.UseStackMarkers && Config.MarkerPeriod == 0)
+    return formatString("%s: stack markers need MarkerPeriod >= 1",
+                        nameOf(Config));
   if (Config.MaxPauseMicros > 0 &&
       (Config.Kind != CollectorKind::Generational ||
        Config.MajorGc != MajorGcKind::MarkCompact))
@@ -52,8 +52,7 @@ Mutator::Mutator(const MutatorConfig &Config) : Config(Config) {
     Recorder = std::make_unique<EventRecorder>(Config.TelemetryRingEvents);
 
   CollectorEnv Env;
-  Env.Stack = &Stack;
-  Env.Regs = &Regs;
+  Env.Primary = rootContext();
   Env.Profiler = Profiler.get();
   if (Config.Observer)
     Env.Observers.push_back(Config.Observer);
@@ -191,9 +190,8 @@ void Mutator::collect(bool Major) {
 }
 
 void Mutator::runStub(size_t Base) {
-  MarkerManager *MM = GC->markerManager();
-  assert(MM && "stub key without stack markers");
-  Stack.setKey(Base, MM->onStubPop(Base));
+  assert(Config.UseStackMarkers && "stub key without stack markers");
+  Stack.setKey(Base, Markers.onStubPop(Base));
 }
 
 void Mutator::popFrameUnwinding(size_t Base) {
@@ -228,7 +226,7 @@ MLRaise Mutator::raise(Value Exn) {
 
   // Size the target frame before touching the marker set (its key slot may
   // hold a stub key if the collector marked it).
-  MarkerManager *MM = GC->markerManager();
+  MarkerManager *MM = markerManager();
   uint32_t Key =
       MM ? MM->resolveKey(Stack, H.FrameBase) : Stack.keyOf(H.FrameBase);
   uint32_t NumSlots = Registry.frameSize(Key);

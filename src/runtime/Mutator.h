@@ -120,13 +120,18 @@ class MutatorGroup;
 /// TLAB with a safepoint poll instead of the single-mutator fast path. A
 /// Mutator that was never attached to a group behaves bit-identically to
 /// the pre-group runtime.
-class Mutator {
+///
+/// Cache-line aligned: a group's threads each write their own Mutator on
+/// every allocation and pointer store, so no Mutator may share a line with
+/// the collector or another thread's state. One shared line cost the
+/// two-mutator perfbench run about 20% of its pass time.
+class alignas(CacheLineBytes) Mutator {
 public:
   explicit Mutator(const MutatorConfig &Config = MutatorConfig());
 
   /// Multi-mutator runtime: an attached mutator shares \p SharedGC (owned
   /// by the group's primary mutator). Only MutatorGroup constructs these —
-  /// the group registers the stack/registers as an extra root context and
+  /// the group registers the mutator's context with the collector and
   /// wires the TLAB/safepoint machinery via attachToGroup.
   Mutator(Collector &SharedGC, const MutatorConfig &Config);
 
@@ -321,6 +326,10 @@ public:
   EventRecorder *traceRecorder() { return Recorder.get(); }
   ShadowStack &stack() { return Stack; }
   RegisterFile &registers() { return Regs; }
+  /// This stack's marker manager, if generational stack collection is on.
+  MarkerManager *markerManager() {
+    return Config.UseStackMarkers ? &Markers : nullptr;
+  }
   HeapProfiler *profiler() { return Profiler.get(); }
   uint64_t pointerUpdates() const { return NumPointerUpdates; }
   uint64_t raises() const { return NumRaises; }
@@ -344,6 +353,12 @@ private:
   /// The "stub function" of §5: the marked frame at \p Base is returning,
   /// so its marker retires and its original key comes back.
   void runStub(size_t Base);
+
+  /// This mutator's root sources, as the collector registers them.
+  MutatorContext rootContext() {
+    MarkerManager *MM = markerManager();
+    return MutatorContext{&Stack, &Regs, MM, MM ? &Cache : nullptr};
+  }
 
   /// popFrame's cold path. A frame that is not on top must have been cut
   /// by raise, which unwound the shadow stack past it in one jump: its base
@@ -468,6 +483,12 @@ private:
   const TraceTableRegistry &Registry = TraceTableRegistry::global();
   ShadowStack Stack;
   RegisterFile Regs;
+  /// Generational stack collection state for this stack (§5): the placed
+  /// markers and watermarks, and the cached scan of the frames below them.
+  /// Per mutator, like the stack: only this thread pops frames and raises,
+  /// and the collector re-marks the stack only while the thread is stopped.
+  MarkerManager Markers;
+  ScanCache Cache;
   std::unique_ptr<HeapProfiler> Profiler;
   /// Trace recording (TraceOutPath / TILGC_TRACE_OUT): the ring the
   /// exporter serializes at destruction. Registered as an observer before

@@ -24,7 +24,7 @@ MutatorGroup::MutatorGroup(const MutatorConfig &Config, unsigned NumMutators)
   Collector &C = Muts[0]->collector();
   for (unsigned I = 1; I < NumMutators; ++I) {
     Muts.push_back(std::make_unique<Mutator>(C, Config));
-    C.registerExtraContext(&Muts[I]->stack(), &Muts[I]->registers());
+    C.registerContext(Muts[I]->rootContext());
   }
 
   bool RecordBarrier = Config.Kind == CollectorKind::Generational;

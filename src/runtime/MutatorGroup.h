@@ -12,9 +12,10 @@
 ///
 ///  * Mutator 0 is an ordinary Mutator owning the collector (and the
 ///    shared profiler/trace recorder); mutators 1..N-1 are attached —
-///    they alias the primary's collector, and their shadow stacks and
-///    register files are registered as extra root contexts so every
-///    collection scans all N stacks.
+///    they alias the primary's collector, and their contexts (shadow
+///    stack, register file and, with stack markers, the stack's own
+///    marker manager and scan cache) are registered behind the primary's
+///    so every collection scans all N stacks.
 ///  * Every member is then switched into group mode: allocation goes
 ///    through a per-thread TLAB (a block grant from the collector's
 ///    inline-allocation space) with a safepoint poll; pointer-store
@@ -30,8 +31,9 @@
 /// match a serial run exactly; only the interleaving of per-thread
 /// allocation into birth stamps varies.
 ///
-/// Stack markers are rejected for N > 1: the §5 scan cache memoizes a
-/// single stack's scan state and cannot cover N stacks.
+/// Stack markers work for any N: each stack keeps its own markers and
+/// scan cache, so the §5 reuse boundary is computed per stack (DESIGN.md
+/// "Generational stack collection per mutator").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +54,7 @@ class MutatorGroup {
 public:
   /// Builds \p NumMutators mutators sharing one collector configured by
   /// \p Config. Fatal if validate(Config, NumMutators) finds a problem
-  /// (no mutators, stack markers with more than one, ...).
+  /// (no mutators, a pause budget without mark-compact, ...).
   MutatorGroup(const MutatorConfig &Config, unsigned NumMutators);
   ~MutatorGroup();
   MutatorGroup(const MutatorGroup &) = delete;

@@ -198,7 +198,8 @@ void scanImpl(ShadowStack &Stack, RegisterFile &Regs, MarkerManager *Markers,
       assert(Last.Base == Stack.frameBase(ReuseCount - 1) &&
              "cached frame does not match the live stack");
       RegState = Last.RegStateAfter;
-      Roots.ReusedSlotRoots.assign(Cache->roots().begin(),
+      Roots.ReusedSlotRoots.insert(Roots.ReusedSlotRoots.end(),
+                                   Cache->roots().begin(),
                                    Cache->roots().begin() + Last.RootsEnd);
       Cache->truncateRoots(Last.RootsEnd);
     } else {
@@ -244,10 +245,7 @@ void scanImpl(ShadowStack &Stack, RegisterFile &Regs, MarkerManager *Markers,
 
     if (Cache)
       Cache->pushFrame(ScanCache::CachedFrame{
-          Base, Key,
-          static_cast<uint32_t>(Roots.ReusedSlotRoots.size() +
-                                Roots.FreshSlotRoots.size()),
-          RegState});
+          Base, Key, static_cast<uint32_t>(Cache->roots().size()), RegState});
 
     // Mark every Period-th frame (fixed frame indices keep global marker
     // spacing stable across scans without extra bookkeeping).
@@ -262,7 +260,7 @@ void scanImpl(ShadowStack &Stack, RegisterFile &Regs, MarkerManager *Markers,
   // frame's view of the machine registers.
   for (unsigned R = 0; R < NumRegisters; ++R)
     if (((RegState >> R) & 1u) && Regs[R] != 0)
-      Roots.RegRoots.push_back(R);
+      Roots.RegRoots.push_back(&Regs[R]);
 
   if (Markers)
     Markers->onScanComplete(FrameCount - ReuseCount);
@@ -276,7 +274,6 @@ void StackScanner::scan(ShadowStack &Stack, RegisterFile &Regs,
                         bool CompiledPlans) {
   assert((Markers == nullptr) == (Cache == nullptr) &&
          "markers and cache go together");
-  Roots.clear();
   if (CompiledPlans)
     scanImpl<true>(Stack, Regs, Markers, Cache, Roots, Stats);
   else

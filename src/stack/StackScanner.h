@@ -45,16 +45,17 @@
 
 namespace tilgc {
 
-/// The results of a stack scan: addresses of slots (and indices of
-/// registers) that hold heap pointers.
+/// The results of stack scans: addresses of slots and registers that hold
+/// heap pointers. A scan appends, so one RootSet can gather the roots of
+/// several stacks, each kind in scan order.
 struct RootSet {
   /// Roots discovered by scanning frames during this collection.
   std::vector<Word *> FreshSlotRoots;
   /// Roots replayed from the scan cache (frames unchanged since the last
   /// collection). Empty unless generational stack collection is enabled.
   std::vector<Word *> ReusedSlotRoots;
-  /// Registers holding pointers (the topmost frame's view).
-  std::vector<unsigned> RegRoots;
+  /// Registers holding pointers (each topmost frame's view).
+  std::vector<Word *> RegRoots;
 
   /// Drops the roots but keeps the vectors' capacity: a RootSet is a
   /// long-lived collector member, and after the first few collections the
@@ -92,14 +93,14 @@ struct ScanStats {
   uint64_t PlanWordsScanned = 0; ///< Bitmask words tested (compiled mode).
 };
 
-/// Per-frame scan results cached between collections (owned by the
-/// collector; meaningful only when stack markers are in use).
+/// One stack's per-frame scan results, cached between collections (owned
+/// by the stack's mutator; meaningful only when stack markers are in use).
 class ScanCache {
 public:
   struct CachedFrame {
     size_t Base;
     uint32_t Key;
-    /// Prefix length of Roots after processing this frame.
+    /// Length of roots() after processing this frame.
     uint32_t RootsEnd;
     /// Register pointer-status bitmask after this frame's definitions.
     uint32_t RegStateAfter;
@@ -138,10 +139,13 @@ private:
 /// Stateless scan entry points.
 class StackScanner {
 public:
-  /// Scans \p Stack (and \p Regs) for roots.
+  /// Scans \p Stack (and \p Regs) for roots, appending them to \p Roots
+  /// and adding the work done to \p Stats. Nothing is cleared: a caller
+  /// that rescans into the same RootSet clears it first.
   ///
   /// \p Markers and \p Cache are either both null (plain two-pass scan, the
   /// baseline collectors) or both non-null (generational stack collection).
+  /// They belong to \p Stack alone: each stack has its own pair.
   ///
   /// \p CompiledPlans selects pass 2's execution mode: false interprets the
   /// trace tables exactly as the paper describes (the default here, so raw

@@ -6,18 +6,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Small portable macros used throughout the library: unreachable markers
-/// and branch-prediction hints.
+/// Small portable helpers used throughout the library: unreachable markers,
+/// branch-prediction hints and the cache-line size.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TILGC_SUPPORT_COMPILER_H
 #define TILGC_SUPPORT_COMPILER_H
 
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 
 namespace tilgc {
+
+/// Alignment that keeps an object off the cache lines of its heap
+/// neighbours, so one thread's writes to it cannot slow another thread's
+/// reads of them (false sharing). 64 bytes on x86-64 and most AArch64.
+inline constexpr size_t CacheLineBytes = 64;
 
 /// Reports an internal invariant violation and aborts.
 ///

@@ -200,6 +200,7 @@ TEST(ScannerExtraTest, ComputeFromRegisterOnTopFrame) {
 
   // Flip the descriptor to "non-pointer": the slot is no longer a root.
   DescPtr[2] = 0;
+  Roots.clear();
   StackScanner::scan(S, Regs, nullptr, nullptr, Roots, Stats);
   EXPECT_TRUE(Roots.FreshSlotRoots.empty());
 }

@@ -184,7 +184,7 @@ TEST(GenerationalTest, StubPopRestoresOriginalKey) {
   };
   uint64_t Got = Helper::nest(M, 64);
   EXPECT_EQ(Got, 64ull * 65 / 2);
-  MarkerManager *MM = M.collector().markerManager();
+  MarkerManager *MM = M.markerManager();
   ASSERT_NE(MM, nullptr);
   EXPECT_GT(MM->numStubPops(), 0u) << "pops must have gone through stubs";
   EXPECT_EQ(MM->numActiveMarkers(), 0u)

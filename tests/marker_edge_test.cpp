@@ -94,7 +94,7 @@ TEST(MarkerEdgeTest, RaiseAcrossMarkedFramesSkipsTheirPops) {
   // above the handler and retires their markers; none of them may then
   // return through the stub as its C++ frame unwinds.
   Mutator M(markerConfig(1));
-  MarkerManager *MM = M.collector().markerManager();
+  MarkerManager *MM = M.markerManager();
   ASSERT_NE(MM, nullptr);
   Frame Handler(M, keyEdge());
   Handler.set(1, consInt(M, siteEdge(), 11, slot(Handler, 2)));
@@ -106,7 +106,7 @@ TEST(MarkerEdgeTest, RaiseAcrossMarkedFramesSkipsTheirPops) {
       if (N > 0)
         return deep(M, N - 1, StubPopsAtRaise);
       M.collect(false); // Marks the whole chain, handler frame included.
-      StubPopsAtRaise = M.collector().markerManager()->numStubPops();
+      StubPopsAtRaise = M.markerManager()->numStubPops();
       return M.raise(Value::fromInt(5));
     }
   };
@@ -135,7 +135,7 @@ TEST(MarkerEdgeTest, RaiseReturnsThroughKFramesToItsHandler) {
   // watermark M) and rescan everything from the handler up.
   constexpr int K = 20;
   Mutator M(markerConfig(3));
-  MarkerManager *MM = M.collector().markerManager();
+  MarkerManager *MM = M.markerManager();
   ASSERT_NE(MM, nullptr);
   Frame Bottom(M, keyEdge()); // Frame 0.
   Bottom.set(1, consInt(M, siteEdge(), 7, slot(Bottom, 2)));
@@ -230,7 +230,7 @@ TEST(MarkerEdgeTest, MarkerOnTopFrameSurvivesImmediatePop) {
     M.collect(false); // Marks every frame, including F.
     // F pops at scope exit -> stub.
   }
-  MarkerManager *MM = M.collector().markerManager();
+  MarkerManager *MM = M.markerManager();
   ASSERT_NE(MM, nullptr);
   EXPECT_GT(MM->numStubPops(), 0u);
 }

@@ -25,6 +25,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <initializer_list>
+#include <latch>
 #include <set>
 #include <string>
 #include <vector>
@@ -65,12 +67,11 @@ SerialBaseline serialBaseline(const char *WorkloadName,
 
 /// K threads, each running a private instance of the workload: every
 /// thread must get the serial checksum, and the merged group totals must
-/// be exactly K times the serial totals.
-void runDifferential(const char *WorkloadName, const MutatorConfig &C,
-                     unsigned K, double Scale, const SerialBaseline &Serial) {
-  std::unique_ptr<Workload> Ref = makeWorkloadByName(WorkloadName);
-  ASSERT_NE(Ref, nullptr);
-  uint64_t Want = Ref->expected(Scale);
+/// be exactly K times the serial totals. Returns the group's totals.
+GcStats runDifferential(const char *WorkloadName, const MutatorConfig &C,
+                        unsigned K, double Scale,
+                        const SerialBaseline &Serial) {
+  uint64_t Want = makeWorkloadByName(WorkloadName)->expected(Scale);
 
   MutatorGroup G(C, K);
   std::vector<uint64_t> Sums(K, 0);
@@ -87,6 +88,18 @@ void runDifferential(const char *WorkloadName, const MutatorConfig &C,
       << WorkloadName << " K=" << K;
   std::string Err;
   EXPECT_TRUE(G.mutator(0).verifyHeap(Err)) << WorkloadName << ": " << Err;
+  return G.gcStats();
+}
+
+/// runDifferential for every workload, at each group size in \p Ks.
+void allWorkloadsDifferential(const MutatorConfig &C,
+                              std::initializer_list<unsigned> Ks) {
+  const double Scale = 0.04;
+  for (const auto &W : allWorkloads()) {
+    SerialBaseline S = serialBaseline(W->name(), C, Scale);
+    for (unsigned K : Ks)
+      runDifferential(W->name(), C, K, Scale, S);
+  }
 }
 
 } // namespace
@@ -96,22 +109,13 @@ void runDifferential(const char *WorkloadName, const MutatorConfig &C,
 //===----------------------------------------------------------------------===//
 
 TEST(MultiMutatorDifferential, GenerationalAllWorkloads) {
-  const double Scale = 0.04;
-  for (const auto &W : allWorkloads()) {
-    MutatorConfig C = groupConfig("mm-diff-gen", CollectorKind::Generational);
-    SerialBaseline S = serialBaseline(W->name(), C, Scale);
-    for (unsigned K : {1u, 2u, 8u})
-      runDifferential(W->name(), C, K, Scale, S);
-  }
+  allWorkloadsDifferential(
+      groupConfig("mm-diff-gen", CollectorKind::Generational), {1, 2, 8});
 }
 
 TEST(MultiMutatorDifferential, SemispaceAllWorkloads) {
-  const double Scale = 0.04;
-  for (const auto &W : allWorkloads()) {
-    MutatorConfig C = groupConfig("mm-diff-semi", CollectorKind::Semispace);
-    SerialBaseline S = serialBaseline(W->name(), C, Scale);
-    runDifferential(W->name(), C, 2, Scale, S);
-  }
+  allWorkloadsDifferential(
+      groupConfig("mm-diff-semi", CollectorKind::Semispace), {2});
 }
 
 TEST(MultiMutatorDifferential, BarrierAndMajorEngineMatrix) {
@@ -138,6 +142,56 @@ TEST(MultiMutatorDifferential, BarrierAndMajorEngineMatrix) {
     C.VerifyLevel = 1;
     SerialBaseline S = serialBaseline(Name, C, Scale);
     runDifferential(Name, C, 4, Scale, S);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Generational stack collection in groups: every stack has its own markers
+// and scan cache, so K stacks get the §5 reuse the serial runtime gets.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Markers on, at VerifyLevel 2: every minor collection audits the §5
+/// invariant (no reused frame of any stack holds a nursery pointer) and
+/// dies if it fails.
+MutatorConfig markerGroupConfig(const char *Name, CollectorKind Kind) {
+  MutatorConfig C = groupConfig(Name, Kind);
+  C.UseStackMarkers = true;
+  C.VerifyLevel = 2;
+  return C;
+}
+
+} // namespace
+
+TEST(MultiMutatorDifferential, StackMarkersGenerationalAllWorkloads) {
+  allWorkloadsDifferential(
+      markerGroupConfig("mm-markers-gen", CollectorKind::Generational),
+      {2, 8});
+}
+
+TEST(MultiMutatorDifferential, StackMarkersSemispaceAllWorkloads) {
+  allWorkloadsDifferential(
+      markerGroupConfig("mm-markers-semi", CollectorKind::Semispace), {2});
+}
+
+TEST(MultiMutatorDifferential, StackMarkersReuseFramesOnEveryStack) {
+  // Color and Knuth-Bendix collect with deep, stable stacks: with markers
+  // a group must replay frames from its scan caches and decode fewer of
+  // them than the same group without markers.
+  const double Scale = 0.04;
+  for (const char *Name : {"Color", "Knuth-Bendix"}) {
+    MutatorConfig Marked =
+        markerGroupConfig("mm-markers-reuse", CollectorKind::Generational);
+    MutatorConfig Plain = Marked;
+    Plain.UseStackMarkers = false;
+    GcStats WithMarkers = runDifferential(
+        Name, Marked, 2, Scale, serialBaseline(Name, Marked, Scale));
+    GcStats Without = runDifferential(Name, Plain, 2, Scale,
+                                      serialBaseline(Name, Plain, Scale));
+    EXPECT_GT(WithMarkers.FramesReused, 0u) << Name;
+    EXPECT_EQ(Without.FramesReused, 0u) << Name;
+    EXPECT_LT(WithMarkers.FramesScanned, Without.FramesScanned) << Name;
   }
 }
 
@@ -277,11 +331,14 @@ TEST(MultiMutatorConfig, ValidateRejectsEveryUnsupportedCombination) {
   std::vector<Case> Invalid;
   Invalid.push_back({"zero mutators", Gen(), 0});
   {
+    // A zero period would divide by zero at the first marked scan.
     MutatorConfig C = Gen();
     C.UseStackMarkers = true;
-    Invalid.push_back({"markers with two mutators", C, 2});
-    C.Kind = CollectorKind::Semispace;
-    Invalid.push_back({"semispace markers with four mutators", C, 4});
+    C.MarkerPeriod = 0;
+    Invalid.push_back({"markers with period 0", C, 1});
+    Invalid.push_back({"markers with period 0, grouped", C, 2});
+    C.AdaptiveMarkerPlacement = true;
+    Invalid.push_back({"adaptive markers starting at period 0", C, 1});
   }
   {
     MutatorConfig C = Gen();
@@ -295,13 +352,17 @@ TEST(MultiMutatorConfig, ValidateRejectsEveryUnsupportedCombination) {
   for (const Case &K : Invalid)
     EXPECT_FALSE(validate(K.C, K.Mutators).empty()) << K.What;
 
-  // The three perfbench configurations (perfbench/gcbench.cpp), plus the
-  // defaults of both collectors.
+  // The three perfbench configurations (perfbench/gcbench.cpp), the
+  // defaults of both collectors, and stack markers in groups (each stack
+  // has its own markers and scan cache).
   std::vector<Case> Valid;
   {
     MutatorConfig C = Gen();
     C.UseStackMarkers = true;
     Valid.push_back({"paper-serial", C, 1});
+    Valid.push_back({"markers with two mutators", C, 2});
+    C.Kind = CollectorKind::Semispace;
+    Valid.push_back({"semispace markers with four mutators", C, 4});
   }
   {
     MutatorConfig C = Gen();
@@ -334,10 +395,11 @@ struct ScopedFaults {
 
 TEST(SafepointTorture, StallFaultStretchesRendezvousSafely) {
   ScopedFaults Guard;
-  // Park attempts 10..510 sleep 1ms before parking: threads arrive at the
+  // Park attempts 1..500 sleep 1ms before parking: threads arrive at the
   // rendezvous maximally skewed while others block in allocation. Bounded
-  // so the injected delay cannot exceed ~0.5s of the run.
-  FaultInjector::global().arm(FaultPoint::SafepointStall, 10,
+  // so the injected delay cannot exceed ~0.5s of the run. Armed from the
+  // first park, so one overlapping stop is enough to fire it.
+  FaultInjector::global().arm(FaultPoint::SafepointStall, 1,
                               /*FireCount=*/500);
   const unsigned K = 4;
   const double Scale = 0.05;
@@ -350,8 +412,13 @@ TEST(SafepointTorture, StallFaultStretchesRendezvousSafely) {
 
   MutatorGroup G(C, K);
   std::vector<uint64_t> Sums(K, 0);
+  // Nobody allocates until every thread is running, so the threads
+  // overlap and the first stop finds K-1 others to park, however late the
+  // scheduler starts them on a loaded host.
+  std::latch Started(K);
   G.run([&](Mutator &M, unsigned I) {
     std::unique_ptr<Workload> W = makeWorkloadByName("Life");
+    Started.arrive_and_wait();
     Sums[I] = W->run(M, Scale);
   });
   for (unsigned I = 0; I < K; ++I)

@@ -297,6 +297,7 @@ MarkerRun runMarkerSequence(bool CompiledPlans) {
   R.Roots1 = rootValues(Roots);
 
   buildStack(S, 10); // Grow the stack; frames below the markers unchanged.
+  Roots.clear();
   StackScanner::scan(S, Regs, &Markers, &Cache, Roots, R.Stats2,
                      CompiledPlans);
   R.Roots2 = rootValues(Roots);

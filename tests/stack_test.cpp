@@ -153,7 +153,7 @@ TEST(ScannerTest, TopFrameRegisterPointerIsARoot) {
   ScanStats Stats;
   StackScanner::scan(S, Regs, nullptr, nullptr, Roots, Stats);
   ASSERT_EQ(Roots.RegRoots.size(), 1u);
-  EXPECT_EQ(Roots.RegRoots[0], 3u);
+  EXPECT_EQ(Roots.RegRoots[0], &Regs[3]);
 }
 
 TEST(ScannerTest, ComputeTraceConsultsTypeDescriptor) {
@@ -220,6 +220,7 @@ TEST(MarkerTest, SecondScanReusesUnchangedFrames) {
 
   // Nothing popped: the highest marker is at frame index 49 (base of the
   // 50th frame), so 49 frames are reusable.
+  Roots.clear();
   ScanStats S2;
   StackScanner::scan(S, Regs, &Markers, &Cache, Roots, S2);
   EXPECT_EQ(S2.FramesReused, 49u);
@@ -256,6 +257,7 @@ TEST(MarkerTest, StubPopShrinksReuse) {
   // Regrow to 40 frames.
   pushPlainFrames(S, 15, &FakeObj[2]);
 
+  Roots.clear();
   ScanStats S2;
   StackScanner::scan(S, Regs, &Markers, &Cache, Roots, S2);
   // Highest intact marker is at frame index 19 (base Bases[19]); frames
@@ -343,6 +345,7 @@ TEST(MarkerTest, ReuseBoundaryIsSoundAfterMixedPopsAndPushes) {
   }
   pushPlainFrames(S, 3, &ObjB[2]);
 
+  Roots.clear();
   ScanStats S2;
   StackScanner::scan(S, Regs, &Markers, &Cache, Roots, S2);
 
@@ -359,4 +362,49 @@ TEST(MarkerTest, ReuseBoundaryIsSoundAfterMixedPopsAndPushes) {
   EXPECT_EQ(BCount, 3u);
   EXPECT_EQ(Roots.FreshSlotRoots.size() + Roots.ReusedSlotRoots.size(), 20u);
   (void)K;
+}
+
+TEST(MarkerTest, TwoStacksScanIntoOneRootSet) {
+  // A mutator group's root scan: each stack has its own markers and scan
+  // cache, and both append to one RootSet. A cache's prefix lengths count
+  // its own stack's roots, so a replay never picks up the other stack's.
+  ShadowStack SA(1u << 16), SB(1u << 16);
+  RegisterFile RegsA, RegsB;
+  MarkerManager MA(/*Period=*/10), MB(/*Period=*/10);
+  ScanCache CA, CB;
+  alignas(8) Word ObjA[3] = {header::make(ObjectKind::Record, 1, 0),
+                             meta::make(1, 0), 0};
+  alignas(8) Word ObjB[3] = {header::make(ObjectKind::Record, 1, 0),
+                             meta::make(2, 0), 0};
+  pushPlainFrames(SA, 30, &ObjA[2]);
+  pushPlainFrames(SB, 50, &ObjB[2]);
+
+  RootSet Roots;
+  ScanStats S1;
+  StackScanner::scan(SA, RegsA, &MA, &CA, Roots, S1);
+  StackScanner::scan(SB, RegsB, &MB, &CB, Roots, S1);
+  EXPECT_EQ(S1.FramesScanned, 80u);
+  EXPECT_EQ(Roots.FreshSlotRoots.size(), 80u);
+  EXPECT_EQ(CA.roots().size(), 30u);
+  EXPECT_EQ(CB.roots().size(), 50u);
+
+  // Nothing moved: each stack reuses everything below its highest marker
+  // (frame 29 of A, frame 49 of B) and rescans that one frame.
+  Roots.clear();
+  ScanStats S2;
+  StackScanner::scan(SA, RegsA, &MA, &CA, Roots, S2);
+  StackScanner::scan(SB, RegsB, &MB, &CB, Roots, S2);
+  EXPECT_EQ(S2.FramesReused, 29u + 49u);
+  EXPECT_EQ(S2.FramesScanned, 2u);
+  ASSERT_EQ(Roots.ReusedSlotRoots.size(), 78u);
+  ASSERT_EQ(Roots.FreshSlotRoots.size(), 2u);
+  // Each kind lists A's roots, then B's.
+  for (size_t I = 0; I < 78; ++I) {
+    ShadowStack &Owner = I < 29 ? SA : SB;
+    EXPECT_TRUE(Owner.ownsSlot(Roots.ReusedSlotRoots[I])) << "reused " << I;
+    Word Want = reinterpret_cast<Word>(I < 29 ? &ObjA[2] : &ObjB[2]);
+    EXPECT_EQ(*Roots.ReusedSlotRoots[I], Want) << "reused " << I;
+  }
+  EXPECT_TRUE(SA.ownsSlot(Roots.FreshSlotRoots[0]));
+  EXPECT_TRUE(SB.ownsSlot(Roots.FreshSlotRoots[1]));
 }
