@@ -91,8 +91,8 @@ Word *GenerationalCollector::allocate(ObjectKind Kind, uint32_t LenWords,
   // Pause-budget mode: with a cycle live every allocation passes through
   // here (the inline fast path is disabled), making allocation the slice
   // safepoint — exactly the paper's safe-point discipline, reused.
-  if (TILGC_UNLIKELY(IncCycleLive))
-    incrementalTick();
+  if (TILGC_UNLIKELY(Cycle) && Cycle->sliceDue(*NurseryFrom))
+    Cycle->runSlice();
 
   Word Descriptor = header::make(Kind, LenWords, PtrMask);
   uint64_t Total = objectTotalBytes(Descriptor);
@@ -106,7 +106,7 @@ Word *GenerationalCollector::allocate(ObjectKind Kind, uint32_t LenWords,
     if (footprintBytes() + Total > Opts.BudgetBytes &&
         LOSAllocSinceGC + Total >= Opts.BudgetBytes / 8) {
       TimerScope Gc(Stats.GcTime);
-      if (TILGC_UNLIKELY(incrementalModeActive()) && !IncCycleLive &&
+      if (TILGC_UNLIKELY(incrementalModeActive()) && !Cycle &&
           !Opts.UseStackMarkers) {
         // Budget mode: soft LOS pressure opens a cycle instead of paying a
         // stop-the-world major here; the reclaim arrives at the cycle's
@@ -115,9 +115,8 @@ Word *GenerationalCollector::allocate(ObjectKind Kind, uint32_t LenWords,
         // Marker configurations skip this site: snapshotting roots here
         // needs a mid-epoch stack scan, which only a markerless scan can
         // do without breaking the §5 reuse invariant.
-        startIncrementalCycle(/*RescanRoots=*/true);
-        IncTrigger = GcTrigger::LargeObjectPressure;
-      } else if (!IncCycleLive) {
+        Cycle.emplace(*this, GcTrigger::LargeObjectPressure);
+      } else if (!Cycle) {
         doMajor(0, GcTrigger::LargeObjectPressure);
         Collected = true;
       }
@@ -141,10 +140,8 @@ Word *GenerationalCollector::allocate(ObjectKind Kind, uint32_t LenWords,
     // Large objects born during an incremental cycle are allocated black:
     // they postdate the snapshot, so the finish seeds them rather than
     // relying on a mark bit the slices never set.
-    if (TILGC_UNLIKELY(IncCycleLive)) {
-      IncNewLOS.push_back(Payload);
-      IncLosBytesSinceSlice += Total;
-    }
+    if (TILGC_UNLIKELY(Cycle))
+      Cycle->noteLargeObject(Payload, Total);
     LOSAllocSinceGC += Total;
     noteFootprint();
     accountAllocation(Kind, Descriptor, SiteId);
@@ -283,33 +280,13 @@ void GenerationalCollector::doMinor(size_t NeedTenuredBytes,
     return;
   }
 
-  ++Stats.NumGC;
-  Tel.beginCollection(GcGeneration::Minor, Trigger, Stats.NumGC);
-  // Arms the GC-cycle watchdog (no-op with a zero deadline). The scope
-  // covers a tenured-pressure chained major too (armGcWatchdog is
-  // depth-counted), so one deadline bounds the whole pause the mutator
-  // observes.
-  GcWatchScope WatchScope(*this);
-  accountStackAtGC();
-  scanRoots();
+  // The watchdog window covers a tenured-pressure chained major too
+  // (armGcWatchdog is depth-counted), so one deadline bounds the whole
+  // pause the mutator observes.
+  CollectionScope Scope(*this, GcGeneration::Minor, Trigger);
 
-  // Pause-budget cycle live: capture the outgoing old-generation edges of
-  // *every* young object before evacuation, including ones about to die.
-  // This closes the SATB young-mediator hole — a tenured object reachable
-  // at snapshot time only through a young object could otherwise be lost if
-  // the mutator stored its pointer into an already-black object (the
-  // barrier filters young values) and the young mediator then died here.
-  // Promote-all keeps all young objects in NurseryFrom at minor entry, so
-  // walking it alone is complete. Cost: one descriptor-driven pass over a
-  // nursery that is about to be evacuated anyway.
-  if (TILGC_UNLIKELY(IncCycleLive)) {
-    TimerScope T(Stats.CopyTime);
-    GcTelemetry::PhaseScope PS(Tel, GcPhase::IncrementalMark);
-    NurseryFrom->walk([&](Word *Payload, Word Descriptor, bool) {
-      forEachPointerFieldWith(Descriptor, Payload,
-                              [&](Word *Field) { IncMC->markSeed(*Field); });
-    });
-  }
+  if (TILGC_UNLIKELY(Cycle))
+    Cycle->snapshotYoungEdges();
 
   Evacuator::Config C;
   C.From = {NurseryFrom, nullptr, nullptr};
@@ -421,21 +398,19 @@ void GenerationalCollector::doMinor(size_t NeedTenuredBytes,
   // stop-the-world finishes dominate the pause profile. An already-live
   // cycle that still hits the stock threshold is out of runway and is
   // force-finished via doMajor.
-  if (TILGC_UNLIKELY(IncCycleLive)) {
+  if (TILGC_UNLIKELY(Cycle)) {
     // The nursery is empty again: re-anchor the slice schedule so the next
     // epoch gets its full complement of slices.
-    IncSliceStrideBytes = incrementalStrideBytes();
-    IncNextSliceNurseryBytes = IncSliceStrideBytes;
-    if (TenuredFrom->freeBytes() < NurseryFrom->capacityBytes())
-      doMajor(0, GcTrigger::TenuredPressure); // force-finishes the cycle
+    Cycle->armNextSlice(/*NurseryUsed=*/0);
   } else if (TILGC_UNLIKELY(incrementalModeActive()) &&
              TenuredFrom->freeBytes() <
                  std::max<size_t>(3 * NurseryFrom->capacityBytes(),
                                   TenuredFrom->capacityBytes() / 2)) {
-    startIncrementalCycle(/*RescanRoots=*/false);
-  } else if (TenuredFrom->freeBytes() < NurseryFrom->capacityBytes()) {
-    doMajor(0, GcTrigger::TenuredPressure);
+    Cycle.emplace(*this, GcTrigger::TenuredPressure);
+    return;
   }
+  if (TenuredFrom->freeBytes() < NurseryFrom->capacityBytes())
+    doMajor(0, GcTrigger::TenuredPressure); // finishes a live cycle
 }
 
 bool GenerationalCollector::verifyHeapNow(std::string &Error) const {
@@ -502,11 +477,9 @@ void GenerationalCollector::doMajor(size_t NeedTenuredBytes,
   // full collection — tenured pressure, the OOM ladder, an explicit
   // collect(), the LOS hard limit — completes the in-flight mark and runs
   // the stock compaction on top of it instead of starting a second major.
-  if (TILGC_UNLIKELY(IncCycleLive)) {
-    finishIncrementalCycle(NeedTenuredBytes, Trigger);
-    return;
-  }
-  if (Opts.MajorGc == MajorGcKind::MarkCompact)
+  if (TILGC_UNLIKELY(Cycle))
+    Cycle->finish(NeedTenuredBytes, Trigger);
+  else if (Opts.MajorGc == MajorGcKind::MarkCompact)
     doMajorMarkCompact(NeedTenuredBytes, Trigger);
   else
     doMajorSemispace(NeedTenuredBytes, Trigger);
@@ -538,13 +511,7 @@ void GenerationalCollector::doMajorSemispace(size_t NeedTenuredBytes,
                          OomStage::HardCapPreflight);
   }
 
-  ++Stats.NumGC;
-  ++Stats.NumMajorGC;
-  Tel.beginCollection(GcGeneration::Major, Trigger, Stats.NumGC);
-  GcWatchScope WatchScope(*this);
-  accountStackAtGC();
-  scanRoots();
-
+  CollectionScope Scope(*this, GcGeneration::Major, Trigger);
   evacuateMajorInto(Reserve);
 
   {
@@ -617,9 +584,7 @@ void GenerationalCollector::evacuateMajorInto(size_t ReserveBytes) {
     GcTelemetry::PhaseScope ResizePS(Tel, GcPhase::Resize);
 
     sweepLOS();
-    sweepDeaths(*NurseryFrom);
-    if (AgedTenuring())
-      sweepDeaths(*NurseryTo);
+    forEachYoungSpace([&](Space &S) { sweepDeaths(S); });
     sweepDeaths(*TenuredFrom);
     std::swap(TenuredFrom, TenuredTo);
     resetAfterMajor();
@@ -637,9 +602,7 @@ void GenerationalCollector::sweepLOS() {
 }
 
 void GenerationalCollector::resetAfterMajor() {
-  NurseryFrom->reset();
-  if (AgedTenuring())
-    NurseryTo->reset();
+  forEachYoungSpace([](Space &S) { S.reset(); });
   RS.clearAfterGC();
   Runs.clear();
   NewLargeObjects.clear();
@@ -653,14 +616,7 @@ void GenerationalCollector::resetAfterMajor() {
 void GenerationalCollector::doMajorMarkCompact(size_t NeedTenuredBytes,
                                                GcTrigger Trigger) {
   FaultInjector::ScopedGcPhase GcPhase;
-
-  ++Stats.NumGC;
-  ++Stats.NumMajorGC;
-  Tel.beginCollection(GcGeneration::Major, Trigger, Stats.NumGC);
-  GcWatchScope WatchScope(*this);
-  noteFootprint();
-  accountStackAtGC();
-  scanRoots();
+  CollectionScope Scope(*this, GcGeneration::Major, Trigger);
 
   // After FailoverStickyLimit consecutive failovers the mark-compact engine
   // is not trusted with another attempt: every later major runs the
@@ -673,6 +629,16 @@ void GenerationalCollector::doMajorMarkCompact(size_t NeedTenuredBytes,
 
   MarkCompact M(markCompactConfig(/*Abortable=*/true));
   runMarkCompact(M, NeedTenuredBytes);
+}
+
+GenerationalCollector::CollectionScope::CollectionScope(
+    GenerationalCollector &C, GcGeneration Gen, GcTrigger Trigger)
+    // Count and open the event before the watchdog arms, so a bark names
+    // this collection's sequence number.
+    : Watch((++C.Stats.NumGC, C.Stats.NumMajorGC += Gen == GcGeneration::Major,
+             C.Tel.beginCollection(Gen, Trigger, C.Stats.NumGC), C)) {
+  C.accountStackAtGC();
+  C.scanRoots();
 }
 
 MarkCompact::Config GenerationalCollector::markCompactConfig(bool Abortable) {
@@ -694,15 +660,6 @@ MarkCompact::Config GenerationalCollector::markCompactConfig(bool Abortable) {
   return MCC;
 }
 
-void GenerationalCollector::seedRootValues(MarkCompact &M) {
-  for (Word *Slot : Roots.FreshSlotRoots)
-    M.markSeed(*Slot);
-  for (Word *Slot : Roots.RegRoots)
-    M.markSeed(*Slot);
-  for (Word *Slot : Roots.ReusedSlotRoots)
-    M.markSeed(*Slot);
-}
-
 void GenerationalCollector::runMarkCompact(MarkCompact &M,
                                            size_t NeedTenuredBytes) {
   {
@@ -720,8 +677,8 @@ void GenerationalCollector::runMarkCompact(MarkCompact &M,
   try {
     {
       TimerScope T(Stats.CopyTime);
-      if (IncCycleLive) // A cycle's finish: M holds the incremental mark.
-        closeIncrementalMark(M);
+      if (Cycle) // A cycle's finish: M holds the incremental mark.
+        Cycle->closeMark();
       else
         M.mark(); // Mark phase scope inside.
     }
@@ -811,9 +768,7 @@ void GenerationalCollector::completeMarkedMajor(MarkCompact &M,
       // (compaction destroys them); young deaths go through the
       // forwarding-based sweep as usual.
       sweepLOS();
-      sweepDeaths(*NurseryFrom);
-      if (AgedTenuring())
-        sweepDeaths(*NurseryTo);
+      forEachYoungSpace([&](Space &S) { sweepDeaths(S); });
       resetAfterMajor();
 
       // The reclaimed tail past the rewound frontier is the mark-compact
@@ -939,9 +894,7 @@ size_t GenerationalCollector::minorHeadroomBytes() const {
 bool GenerationalCollector::poisonAfterMajor(Space &Tenured) {
   if (TILGC_LIKELY(!shouldPoison()))
     return false;
-  NurseryFrom->poisonFreeSpace();
-  if (AgedTenuring())
-    NurseryTo->poisonFreeSpace();
+  forEachYoungSpace([](Space &S) { S.poisonFreeSpace(); });
   Tenured.poisonFreeSpace();
   return true;
 }
@@ -1010,335 +963,7 @@ void GenerationalCollector::forEachLiveObject(
         Fn(Payload, Descriptor);
     });
   };
-  WalkSpace(*NurseryFrom);
-  if (AgedTenuring())
-    WalkSpace(*NurseryTo);
+  forEachYoungSpace(WalkSpace);
   WalkSpace(*TenuredFrom);
   LOS.walk([&](Word *Payload, Word Descriptor) { Fn(Payload, Descriptor); });
-}
-
-//===----------------------------------------------------------------------===//
-// Pause-budget incremental major cycle (Opts.MaxPauseMicros > 0)
-//===----------------------------------------------------------------------===//
-//
-// The stock major collection is one stop-the-world MARK + COMPACT pause.
-// In pause-budget mode the MARK phase is sliced into bounded increments run
-// at allocation safepoints, interleaved with mutator execution; the COMPACT
-// half stays stop-the-world at the cycle's finishing collection (slicing a
-// sliding compaction would need read barriers the runtime does not have).
-// Correctness is snapshot-at-the-beginning: the cycle marks everything
-// reachable when it began, a deletion barrier (satbRecord) preserves edges
-// the mutator overwrites mid-cycle, and everything allocated or promoted
-// during the cycle is treated as live (allocate-black, materialized as
-// finish-time seeds). The one-cycle float this retains is collected by the
-// next cycle — the same trade every SATB collector makes.
-
-void GenerationalCollector::startIncrementalCycle(bool RescanRoots) {
-  assert(!IncCycleLive && "nested incremental cycles");
-  assert(incrementalModeActive() && "cycle start outside budget mode");
-
-  if (RescanRoots) {
-    // Mid-epoch call site (LOS soft pressure): the last collection's root
-    // scan is stale. Only legal without markers — see the caller.
-    assert(!Opts.UseStackMarkers && "mid-epoch marker scan would break §5");
-    scanRoots();
-  }
-
-  // Not abortable: slices poll the watchdog's recover request themselves
-  // and answer it with a stop-the-world finish, not an engine abort — the
-  // accumulated mark is exactly what makes the finish fast.
-  IncMC = std::make_unique<MarkCompact>(markCompactConfig(/*Abortable=*/false));
-  IncMC->beginIncremental();
-
-  IncCycleLive = true;
-  SatbMarkingLive = true;
-  ++IncCycleCount;
-  IncTrigger = GcTrigger::TenuredPressure;
-  // Everything the old generation gains after this point (promotions,
-  // pretenured allocation, tenured fallback) is cycle-era: seeded at finish
-  // rather than traced by slices, so slices never race the frontier.
-  IncTenuredDeltaFrom = TenuredFrom->frontier();
-  IncNewLOS.clear();
-  // Cycle-long watchdog hold: one deadline bounds the whole cycle, slices
-  // and finish nest inside it (armGcWatchdog is depth-counted). A Recover
-  // bark is answered at the next slice.
-  armGcWatchdog();
-
-  // Snapshot the roots. SATB only covers heap stores (writeField); stack
-  // and register mutations have no barrier, so an object reachable *only*
-  // from the stack at snapshot time must be seeded now — the mutator may
-  // launder its pointer into an already-black heap object and then drop
-  // the stack slot, and the finish rescan would miss it.
-  {
-    GcTelemetry::PhaseScope PS(Tel, GcPhase::IncrementalMark);
-    seedRootValues(*IncMC);
-  }
-
-  // First slice after one stride of allocation; see incrementalStrideBytes
-  // for how the stride is sized against the pause SLO.
-  IncSliceStrideBytes = incrementalStrideBytes();
-  IncLosBytesSinceSlice = 0;
-  IncNextSliceNurseryBytes = NurseryFrom->usedBytes() + IncSliceStrideBytes;
-}
-
-void GenerationalCollector::incrementalTick() {
-  if (!incrementalSliceDue())
-    return;
-  // A slice reads the clock at its two ends; both stamps feed GcTime,
-  // CopyTime, the slice's event and IncrementalMark phase, and its mark
-  // deadline.
-  uint64_t BeginNs = monotonicNs();
-  TimerScope Gc(Stats.GcTime, BeginNs);
-  FaultInjector::ScopedGcPhase InGc;
-  Gc.stopAt(runIncrementalSlice(BeginNs));
-}
-
-uint64_t GenerationalCollector::runIncrementalSlice(uint64_t BeginNs) {
-  ++Stats.NumGC; // Invalidates mutator fast-path epochs; NumMajorGC is
-                 // bumped once, by the finishing collection.
-  ++IncSliceCount;
-  Tel.beginCollection(GcGeneration::Major, IncTrigger, Stats.NumGC, BeginNs);
-  GcWatchScope WatchScope(*this);
-  TimerScope Copy(Stats.CopyTime, BeginNs);
-  Tel.enterPhase(GcPhase::IncrementalMark, BeginNs);
-  // Budget half the pause for the whole slice: the histogram's percentile
-  // reports bucket upper edges (2x resolution), so a half-budget target
-  // keeps the reported p99 under the full budget. The grey drain runs to
-  // the absolute deadline BeginNs + HalfNs.
-  uint64_t HalfNs = static_cast<uint64_t>(Opts.MaxPauseMicros) * 1000 / 2;
-  uint64_t DeadlineNs = BeginNs + HalfNs;
-  if (!Satb.empty()) {
-    // The deletion-barrier backlog first: its entries are exactly the
-    // snapshot edges the mutator severed since the last slice. The drain
-    // spends part of the budget; if it spent all of it, the grey drain
-    // still gets a floor of HalfNs/16 + 1 past it, so marking always
-    // advances even behind a mutation storm.
-    for (Word Bits : Satb.values())
-      IncMC->markSeed(Bits);
-    Satb.clear();
-    uint64_t NowNs = monotonicNs();
-    if (NowNs >= DeadlineNs)
-      DeadlineNs = NowNs + HalfNs / 16 + 1;
-  }
-  IncMC->markStep(DeadlineNs);
-  uint64_t EndNs = monotonicNs();
-  Tel.exitPhase(GcPhase::IncrementalMark, EndNs);
-  Copy.stopAt(EndNs);
-  if (TILGC_UNLIKELY(Opts.VerifyLevel >= 2)) {
-    // Inside the pause and GcTime, outside the phase.
-    auditTricolorInvariant();
-    EndNs = monotonicNs();
-  }
-  Tel.endCollection(EndNs);
-  // Re-arm both pacing legs relative to the current fill so every slice
-  // costs one stride of fresh allocation.
-  IncSliceStrideBytes = incrementalStrideBytes();
-  IncNextSliceNurseryBytes = NurseryFrom->usedBytes() + IncSliceStrideBytes;
-  IncLosBytesSinceSlice = 0;
-
-  // Watchdog Recover escalation: the supervisor decided the cycle has
-  // overstayed its deadline. Fall back to the stop-the-world completion —
-  // the mark accumulated so far is kept, not discarded.
-  if (TILGC_UNLIKELY(WD.recoverRequested())) {
-    WD.clearRecoverRequest();
-    finishIncrementalCycle(0, IncTrigger);
-    EndNs = monotonicNs(); // The finish is GC time too.
-  }
-  return EndNs;
-}
-
-void GenerationalCollector::finishIncrementalCycle(size_t NeedTenuredBytes,
-                                                   GcTrigger Trigger) {
-  assert(IncCycleLive && "finish without a live cycle");
-  FaultInjector::ScopedGcPhase InGc;
-
-  ++Stats.NumGC;
-  ++Stats.NumMajorGC;
-  Tel.beginCollection(GcGeneration::Major, Trigger, Stats.NumGC);
-  GcWatchScope WatchScope(*this);
-  // Unconditional teardown at scope exit: normal completion, engine
-  // failover, and the grow path's catchable HeapExhausted refusal all
-  // leave the collector cycle-free with the SATB barrier lowered.
-  struct CycleTeardown {
-    GenerationalCollector &C;
-    ~CycleTeardown() { C.clearIncrementalState(); }
-  } Teardown{*this};
-  noteFootprint();
-  accountStackAtGC();
-  scanRoots();
-
-  runMarkCompact(*IncMC, NeedTenuredBytes);
-}
-
-void GenerationalCollector::closeIncrementalMark(MarkCompact &M) {
-  GcTelemetry::PhaseScope PS(Tel, GcPhase::IncrementalMark);
-  // Close the snapshot: fresh roots, the deletion-barrier backlog, and
-  // every cycle-era allocation (all young objects, the tenured delta,
-  // large objects born mid-cycle), then drain to empty. Dead cycle-era
-  // objects ride along as the cycle's one-epoch float.
-  M.enableYoungMarking();
-  seedRootValues(M);
-  for (Word Bits : Satb.values())
-    M.markSeed(Bits);
-  Satb.clear();
-  auto SeedAll = [&](const Space &S) {
-    S.walk([&](Word *Payload, Word, bool Forwarded) {
-      if (!Forwarded)
-        M.markSeed(reinterpret_cast<Word>(Payload));
-    });
-  };
-  SeedAll(*NurseryFrom);
-  if (AgedTenuring())
-    SeedAll(*NurseryTo);
-  TenuredFrom->walk([&](Word *Payload, Word, bool Forwarded) {
-    if (!Forwarded && Payload - HeaderWords >= IncTenuredDeltaFrom)
-      M.markSeed(reinterpret_cast<Word>(Payload));
-  });
-  for (Word *Payload : IncNewLOS)
-    M.markSeed(reinterpret_cast<Word>(Payload));
-  M.markStep(~0ull); // No deadline: drain to empty.
-  M.finishIncrementalMark();
-}
-
-void GenerationalCollector::satbRecord(Word OldBits) {
-  // Tolerates a stale call (group-mode buffers may replay just after a
-  // finish tore the cycle down in the same stop-the-world window).
-  if (TILGC_UNLIKELY(!IncCycleLive) || !OldBits)
-    return;
-  Word *P = reinterpret_cast<Word *>(OldBits);
-  // Young values need no record: the pre-minor sweep captures every young
-  // object's outgoing edges before it can die, and the finish seeds the
-  // survivors wholesale.
-  if (inNursery(P))
-    return;
-  // Already black or grey: the snapshot edge is preserved by the mark.
-  if (IncMC->incrementalMarked(P) || LOS.isMarked(P))
-    return;
-  Satb.record(OldBits);
-}
-
-void GenerationalCollector::clearIncrementalState() {
-  if (!IncCycleLive)
-    return;
-  IncCycleLive = false;
-  SatbMarkingLive = false;
-  IncMC.reset();
-  Satb.clear();
-  IncNewLOS.clear();
-  IncTenuredDeltaFrom = nullptr;
-  IncNextSliceNurseryBytes = 0;
-  IncSliceStrideBytes = 0;
-  IncLosBytesSinceSlice = 0;
-  disarmGcWatchdog(); // Releases the cycle-long hold taken at start.
-}
-
-void GenerationalCollector::auditTricolorInvariant() {
-  // Markerless scans cannot resolve stub keys on a marker-bearing stack,
-  // and a marker-updating scan between collections would re-anchor frames
-  // without redirecting their roots (breaking the §5 reuse invariant), so
-  // the audit runs only in markerless configurations.
-  if (Opts.UseStackMarkers)
-    return;
-
-  // Actual roots right now, via scratch state (the collection-time Roots
-  // member must survive untouched for the eventual finish).
-  RootSet ARoots;
-  ScanStats AStats;
-  for (const MutatorContext &C : Contexts)
-    StackScanner::scan(*C.Stack, *C.Regs, nullptr, nullptr, ARoots, AStats,
-                       Opts.CompiledScanPlans);
-  std::vector<Word> RootVals;
-  for (Word *Slot : ARoots.FreshSlotRoots)
-    RootVals.push_back(*Slot);
-  for (Word *Slot : ARoots.RegRoots)
-    RootVals.push_back(*Slot);
-
-  auto IsMarked = [&](Word *P) {
-    return IncMC->incrementalMarked(P) || LOS.isMarked(P);
-  };
-  auto InTenuredDelta = [&](Word *P) {
-    return TenuredFrom->contains(P) && P - HeaderWords >= IncTenuredDeltaFrom;
-  };
-  std::unordered_set<const Word *> Grey;
-  IncMC->forEachGrey([&](Word *P) { Grey.insert(P); });
-  std::unordered_set<const Word *> NewLosSet(IncNewLOS.begin(),
-                                             IncNewLOS.end());
-
-  // Simulate the finish drain: seeds are what the finish would seed; the
-  // expansion stops at black objects (marked and already scanned — the
-  // finish will not rescan them). Visited is therefore exactly the set of
-  // objects the finish would still scan given today's mark state.
-  std::unordered_set<const Word *> Visited;
-  std::vector<Word *> Work;
-  auto Consider = [&](Word Bits) {
-    if (!Bits)
-      return;
-    Word *P = reinterpret_cast<Word *>(Bits);
-    if (Visited.count(P))
-      return;
-    if (!Grey.count(P) && IsMarked(P))
-      return; // black: retained, but its fields will not be rescanned
-    Visited.insert(P);
-    Work.push_back(P);
-  };
-  for (Word Bits : RootVals)
-    Consider(Bits);
-  for (Word Bits : Satb.values())
-    Consider(Bits);
-  IncMC->forEachGrey(
-      [&](Word *P) { Consider(reinterpret_cast<Word>(P)); });
-  auto ConsiderSpace = [&](const Space &S) {
-    S.walk([&](Word *Payload, Word, bool Forwarded) {
-      if (!Forwarded)
-        Consider(reinterpret_cast<Word>(Payload));
-    });
-  };
-  ConsiderSpace(*NurseryFrom);
-  if (AgedTenuring())
-    ConsiderSpace(*NurseryTo);
-  TenuredFrom->walk([&](Word *Payload, Word, bool Forwarded) {
-    if (!Forwarded && InTenuredDelta(Payload))
-      Consider(reinterpret_cast<Word>(Payload));
-  });
-  for (Word *Payload : IncNewLOS)
-    Consider(reinterpret_cast<Word>(Payload));
-  while (!Work.empty()) {
-    Word *P = Work.back();
-    Work.pop_back();
-    forEachPointerField(P, [&](Word *F) { Consider(*F); });
-  }
-
-  // Ground truth: the full reachable closure from the actual roots,
-  // expanding through everything. Every member must be retained by the
-  // finish — already marked, or young/delta/new-LOS (seeded wholesale), or
-  // in the simulated scan set. A miss is a lost snapshot edge: the
-  // white-behind-black state the SATB barrier exists to prevent.
-  std::unordered_set<const Word *> Reach;
-  std::vector<Word *> RWork;
-  auto Expand = [&](Word Bits) {
-    if (!Bits)
-      return;
-    Word *P = reinterpret_cast<Word *>(Bits);
-    if (Reach.insert(P).second)
-      RWork.push_back(P);
-  };
-  for (Word Bits : RootVals)
-    Expand(Bits);
-  while (!RWork.empty()) {
-    Word *P = RWork.back();
-    RWork.pop_back();
-    forEachPointerField(P, [&](Word *F) { Expand(*F); });
-  }
-  for (const Word *CP : Reach) {
-    Word *P = const_cast<Word *>(CP);
-    if (Visited.count(P) || inNursery(P) || InTenuredDelta(P) ||
-        NewLosSet.count(P) || IsMarked(P))
-      continue;
-    fatalError("tilgc: tricolor invariant violated: live object %p is "
-               "unreachable by the finishing collection (cycle %llu, after "
-               "%llu slices): lost SATB record",
-               static_cast<void *>(P),
-               static_cast<unsigned long long>(IncCycleCount),
-               static_cast<unsigned long long>(IncSliceCount));
-  }
 }

@@ -33,16 +33,15 @@
 
 #include "gc/Collector.h"
 #include "gc/GcOptions.h"
+#include "gc/IncrementalCycle.h"
 #include "gc/MarkCompact.h"
 #include "gc/RememberedSet.h"
 #include "heap/LargeObjectSpace.h"
 #include "heap/RegionManager.h"
 #include "heap/Space.h"
-#include "heap/StoreBuffer.h"
 #include "support/Watchdog.h"
 
-#include <algorithm>
-#include <memory>
+#include <optional>
 #include <vector>
 
 namespace tilgc {
@@ -89,7 +88,7 @@ public:
     // allocate() so the slice scheduler can run: disabling the fast path
     // (the mutator re-validates per GC epoch, and every slice bumps the
     // epoch) is what makes allocation the slice safepoint.
-    if (TILGC_UNLIKELY(IncCycleLive))
+    if (TILGC_UNLIKELY(Cycle))
       return nullptr;
     return NurseryFrom;
   }
@@ -99,26 +98,27 @@ public:
     // per-allocation poll would serialize every thread through the stop-
     // the-world path); instead a refill fails exactly when a slice is due,
     // funneling one thread into allocateStopped -> one slice per stop.
-    if (TILGC_UNLIKELY(IncCycleLive) && incrementalSliceDue())
+    if (TILGC_UNLIKELY(Cycle) && Cycle->sliceDue(*NurseryFrom))
       return nullptr;
     return NurseryFrom;
   }
 
-  /// SATB deletion barrier (pause-budget incremental mode): records the
-  /// old value of an overwritten pointer slot unless it is null, young
-  /// (young objects are allocate-black for the cycle and never traced
-  /// between slices), or already marked.
-  void satbRecord(Word OldBits) override;
+  /// SATB deletion barrier: IncrementalCycle::recordSatb. A stale call
+  /// (a group-mode replay just after a finish) is ignored.
+  void satbRecord(Word OldBits) override {
+    if (TILGC_LIKELY(Cycle))
+      Cycle->recordSatb(OldBits);
+  }
 
   /// The GC-cycle supervisor (tests / diagnostics; idle unless
   /// Opts.GcDeadlineMicros is set).
   Watchdog &gcWatchdog() { return WD; }
 
   /// Incremental-cycle introspection (tests / diagnostics).
-  bool incrementalCycleLive() const { return IncCycleLive; }
+  bool incrementalCycleLive() const { return Cycle.has_value(); }
   uint64_t incrementalSlices() const { return IncSliceCount; }
   uint64_t incrementalCycles() const { return IncCycleCount; }
-  size_t satbPending() const { return Satb.size(); }
+  size_t satbPending() const { return Cycle ? Cycle->satbPending() : 0; }
   /// After this many consecutive major-engine failovers, MarkCompact is
   /// sticky-disabled and every later major runs the semispace fallback
   /// (the MMTk lesson: when a plan keeps failing, switch plans).
@@ -129,6 +129,8 @@ public:
   bool markCompactDisabled() const { return McStickyDisabled; }
 
 private:
+  friend class IncrementalCycle;
+
   bool AgedTenuring() const { return Opts.PromoteAgeThreshold > 1; }
 
   /// One minor collection; may chain into a major one under tenured
@@ -200,6 +202,25 @@ private:
     GenerationalCollector &C;
   };
 
+  /// The prologue every collection shares: counts it, opens its event,
+  /// holds the watchdog window while in scope, and scans the roots. Refusal
+  /// checks run first, so a refused collection is not counted.
+  class CollectionScope {
+  public:
+    CollectionScope(GenerationalCollector &C, GcGeneration Gen,
+                    GcTrigger Trigger);
+
+  private:
+    GcWatchScope Watch;
+  };
+
+  /// Calls \p Fn on the nursery and, under aged tenuring, its twin.
+  template <typename FnT> void forEachYoungSpace(FnT Fn) const {
+    Fn(*NurseryFrom);
+    if (AgedTenuring())
+      Fn(*NurseryTo);
+  }
+
   /// Enumerates write-barrier output, remembered pretenured regions and
   /// new large objects — the minor collection's heap-side roots — into
   /// \p Fn(Word *Slot). Shared by the serial path (Fn forwards the slot
@@ -217,84 +238,25 @@ private:
   /// process. Aborts (fatalError) on a missed barrier.
   void auditRememberedSets();
 
-  // --- Pause-budget incremental major cycle (Opts.MaxPauseMicros > 0) ---
-
-  /// Whether the incremental mode is available at all (budget set,
+  /// Whether the pause-budget mode can open a cycle at all (budget set,
   /// mark-compact engine selected and not sticky-disabled).
   bool incrementalModeActive() const {
     return Opts.MaxPauseMicros > 0 &&
            Opts.MajorGc == MajorGcKind::MarkCompact && !McStickyDisabled;
   }
-  /// Whether enough allocation has accumulated for the next slice. Two
-  /// pacing legs: nursery growth past the watermark, and LOS bytes since
-  /// the last slice (an LOS-heavy phase barely grows the nursery, so the
-  /// watermark alone would leave whole cycles nearly sliceless).
-  bool incrementalSliceDue() const {
-    // Relaxed frontier read: in group mode this runs on the TLAB refill
-    // path while peers CAS block grants off the same nursery. The check is
-    // advisory — a stale value shifts the slice by one refill at most.
-    return NurseryFrom->usedBytesRelaxed() >= IncNextSliceNurseryBytes ||
-           (IncSliceStrideBytes &&
-            IncLosBytesSinceSlice >= IncSliceStrideBytes);
-  }
-  /// Allocation distance between slices: 1/128 of a nursery load, with a
-  /// floor so tiny test heaps don't slice every few objects. The divisor
-  /// is sized for the pause SLO's tail math — a cycle's stop-the-world
-  /// finish can only sit above the p99 if slices outnumber finishes by
-  /// well over two orders of magnitude (scheduler preemption inflates a
-  /// fraction of slice wall-times, and those outliers stack with the
-  /// finishes at the 1% boundary), and high-promotion workloads get only
-  /// a couple of nursery loads of tenured runway per cycle, so each load
-  /// must contribute ~128 slices.
-  size_t incrementalStrideBytes() const {
-    return std::max<size_t>(256, NurseryFrom->capacityBytes() / 128);
-  }
-  /// Opens a cycle: creates the incremental engine, snapshots the current
-  /// root values as mark seeds, raises the SATB barrier, and takes a
-  /// cycle-long watchdog hold. \p RescanRoots distinguishes the two legal
-  /// call sites: false at a minor collection's tail (the minor's scan is
-  /// current and every root was just fixed up), true from the LOS
-  /// soft-pressure path where the stack must be re-scanned first (markerless
-  /// configurations only — a marker-updating scan outside a collection
-  /// would re-anchor frames without redirecting their roots, breaking §5).
-  void startIncrementalCycle(bool RescanRoots);
-  /// allocate()-entry poll: runs one slice if due.
-  void incrementalTick();
-  /// One bounded mark increment begun at the clock stamp \p BeginNs: its
-  /// own major GcEvent, SATB drain, deadline-bounded grey-draining,
-  /// optional tricolor audit, recover-request poll (a recover bark
-  /// finishes the cycle stop-the-world). Returns the stamp at which its
-  /// GC work ended.
-  uint64_t runIncrementalSlice(uint64_t BeginNs);
-  /// Stop-the-world cycle completion: fresh root scan, final seeds (roots,
-  /// SATB backlog, cycle-era allocations), full drain, then the shared
-  /// post-mark body. Any forced major during a live cycle lands here.
-  void finishIncrementalCycle(size_t NeedTenuredBytes, GcTrigger Trigger);
   /// The one mark-compact engine configuration; \p Abortable wires the
   /// watchdog's recover latch (stock majors only: an incremental cycle
   /// answers a recover request with its finish, not an abort).
   MarkCompact::Config markCompactConfig(bool Abortable);
-  /// Seeds \p M with the values of every root slot (cycle start and close).
-  void seedRootValues(MarkCompact &M);
   /// The mark-compact major shared by doMajorMarkCompact and
-  /// finishIncrementalCycle: hands \p M the root spans, marks (stock
+  /// IncrementalCycle::finish: hands \p M the root spans, marks (stock
   /// mark, or closes the live incremental cycle's mark), completes it, and
   /// on a MarkPlanFault fails over to the semispace evacuation. Closes the
   /// major event either way.
   void runMarkCompact(MarkCompact &M, size_t NeedTenuredBytes);
-  /// The finish's final seeds (roots, SATB backlog, cycle-era allocations)
-  /// and full drain, closing the incremental mark.
-  void closeIncrementalMark(MarkCompact &M);
   /// Everything after a completed MARK phase: plan, fit-or-grow decision,
   /// compact or evacuating grow, stats and space resets.
   void completeMarkedMajor(MarkCompact &M, size_t NeedTenuredBytes);
-  /// VerifyLevel >= 2 between-slice audit: simulates the finish drain
-  /// (roots + grey + SATB + cycle-era allocations, never re-expanding
-  /// through already-black objects) and checks every truly-reachable
-  /// object would be retained. Catches lost SATB records.
-  void auditTricolorInvariant();
-  /// Tears down cycle state (idempotent; the finish's unwind guard).
-  void clearIncrementalState();
 
   // Collector heap-dump hooks.
   void appendHeapState(std::string &Out) const override;
@@ -365,36 +327,12 @@ private:
   /// keeps the minor's watchdog window instead of re-arming.
   unsigned WatchDepth = 0;
 
-  // --- Pause-budget incremental cycle state (Opts.MaxPauseMicros > 0) ---
-  /// True from startIncrementalCycle() to the cycle's finish/teardown.
-  bool IncCycleLive = false;
-  /// The cycle's engine: seeded at start, fed by slices, completed (plan +
-  /// compact) by the finishing collection.
-  std::unique_ptr<MarkCompact> IncMC;
-  /// SATB deletion buffer: old values of pointer slots overwritten while
-  /// the cycle is live; drained into mark seeds at each slice.
-  SatbBuffer Satb;
-  /// Trigger recorded on slice events (the pressure that opened the cycle).
-  GcTrigger IncTrigger = GcTrigger::TenuredPressure;
-  /// Nursery-allocation pacing: a slice is due when the nursery has grown
-  /// past this watermark; reset after each slice and each minor.
-  size_t IncNextSliceNurseryBytes = 0;
-  /// One stride of the slice schedule (1/128 nursery load, see
-  /// incrementalStrideBytes), recomputed at
-  /// cycle start, after each slice, and at each minor's tail.
-  size_t IncSliceStrideBytes = 0;
-  /// Large-object bytes allocated since the last slice (the second pacing
-  /// leg of incrementalSliceDue).
-  size_t IncLosBytesSinceSlice = 0;
-  /// Tenured frontier at cycle start: [here, frontier) is the cycle-era
-  /// delta (promotions + pretenured allocations), seeded at finish.
-  Word *IncTenuredDeltaFrom = nullptr;
-  /// LOS payloads allocated during the cycle (NewLargeObjects clears at
-  /// every minor, so the cycle keeps its own union), seeded at finish.
-  std::vector<Word *> IncNewLOS;
-  /// Lifetime counters (tests / bench).
+  /// Incremental-cycle lifetime counters (tests / bench).
   uint64_t IncSliceCount = 0;
   uint64_t IncCycleCount = 0;
+  /// The live pause-budget cycle, engaged from its start to the end of its
+  /// finish; by value, so the allocation poll chases no pointer.
+  std::optional<IncrementalCycle> Cycle;
 };
 
 } // namespace tilgc

@@ -10,6 +10,7 @@
 #include "support/FaultInjector.h"
 
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <thread>
 
@@ -17,6 +18,15 @@ using namespace tilgc;
 
 void Space::reserve(size_t Bytes) {
   release();
+  // A request larger than any object the host can address is refused
+  // before malloc: rounding it up to words would wrap, sanitizer
+  // allocators abort on such sizes instead of returning null, and no
+  // backoff can make it succeed.
+  constexpr size_t MaxWords = PTRDIFF_MAX / sizeof(Word);
+  if (TILGC_UNLIKELY(Bytes > MaxWords * sizeof(Word)))
+    fatalError("space reservation of %zu bytes failed: host out of memory "
+               "(larger than the address space allows)",
+               Bytes);
   size_t Words = (Bytes + sizeof(Word) - 1) / sizeof(Word);
   if (Words == 0)
     Words = HeaderWords;

@@ -103,28 +103,6 @@ private:
   unsigned LowFillClears = 0;
 };
 
-/// SATB (snapshot-at-the-beginning) deletion buffer for the incremental
-/// major-mark mode: while incremental marking is live, the write barrier
-/// records the OLD pointer value of every overwritten slot, so an edge
-/// that existed in the marking snapshot can never be hidden from the
-/// tracer by a mutator store (no black-to-white-unrecorded edge survives a
-/// slice boundary). Values, not slots: the slot's new content is covered
-/// by root re-scanning at cycle finish.
-class SatbBuffer {
-public:
-  void record(Word OldBits) { Values.push_back(OldBits); }
-
-  bool empty() const { return Values.empty(); }
-  size_t size() const { return Values.size(); }
-  const std::vector<Word> &values() const { return Values; }
-
-  void clear() { Values.clear(); }
-  void reserve(size_t NumValues) { Values.reserve(NumValues); }
-
-private:
-  std::vector<Word> Values;
-};
-
 } // namespace tilgc
 
 #endif // TILGC_HEAP_STOREBUFFER_H

@@ -449,6 +449,18 @@ TEST(OomProtocolDeath, HostAllocationFailureDiesStructurally) {
       "space reservation of .* failed: host out of memory");
 }
 
+TEST(OomProtocolDeath, UnaddressableReservationDiesBeforeMalloc) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // Rounding SIZE_MAX up to whole words would wrap to a 16-byte space; the
+  // request must die as unsatisfiable instead of being silently shrunk.
+  EXPECT_DEATH(
+      {
+        Space S;
+        S.reserve(~size_t{0});
+      },
+      "space reservation of .* failed: host out of memory");
+}
+
 TEST(OomProtocolDeath, ShadowStackOverflowDiesStructurally) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   // Overflow is checked in every build mode: a release build must die

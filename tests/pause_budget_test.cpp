@@ -13,6 +13,8 @@
 ///  * MaxPauseMicros = 0 (the default) is bit-identical to stock behavior:
 ///    all 11 workloads produce the same checksum AND the same deterministic
 ///    GcStats tuple, with zero incremental machinery engaged.
+///  * A budgeted run's deterministic event stream is pinned by digest, so a
+///    restructuring of the cycle cannot move a slice, a trigger or a byte.
 ///  * A budgeted run is still correct: every workload's checksum matches
 ///    its reference, the heap verifies, and cycles actually run in slices
 ///    (many slices per cycle, majors complete through the finish path).
@@ -20,7 +22,8 @@
 ///    collect(true)) force-finishes the cycle instead of double-collecting.
 ///  * The tricolor invariant holds under a seeded mutation storm designed
 ///    to hide edges from an incremental marker: VerifyLevel >= 2 audits the
-///    mark state between slices and fatalErrors on any lost object.
+///    mark state between slices and fatalErrors on any lost object — and
+///    does fire on a snapshot edge dropped without a SATB record.
 ///  * Group mode: K mutators under a budget replay their thread-local SATB
 ///    backlogs at safepoint merges; totals and checksums stay exact.
 ///  * Supervision: a GC watchdog with WatchdogPolicy::Recover that barks
@@ -44,13 +47,16 @@
 #include "observe/EventRecorder.h"
 #include "runtime/MutatorGroup.h"
 #include "support/FaultInjector.h"
+#include "support/Random.h"
 #include "workloads/MLLib.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 using namespace tilgc;
@@ -171,6 +177,65 @@ TEST(PauseBudgetDifferential, ZeroBudgetIsBitIdenticalOnAllWorkloads) {
         << W.name() << ": MaxPauseMicros=0 perturbed the deterministic "
         << "GcStats tuple — a disabled-mode path leaked into the stock run";
   }
+}
+
+namespace {
+
+/// FNV-1a digest of every event's deterministic keys: Seq, generation,
+/// trigger, the byte and object counters, frames at GC, SSB and card
+/// counts, the region census and the engine-failover flag. Timing fields
+/// are left out, so a budgeted run's digest depends only on the slice
+/// schedule (allocation-paced) and the final mark set (SATB makes it
+/// independent of how far each slice got).
+struct EventStreamDigest : GcObserver {
+  uint64_t Hash = 0xcbf29ce484222325ULL;
+  uint64_t Events = 0;
+
+  void mix(uint64_t V) {
+    for (unsigned I = 0; I < 8; ++I) {
+      Hash ^= (V >> (8 * I)) & 0xff;
+      Hash *= 0x100000001b3ULL;
+    }
+  }
+  void onGcEnd(const GcEvent &E) override {
+    ++Events;
+    for (uint64_t V :
+         {E.Seq, static_cast<uint64_t>(E.Gen),
+          static_cast<uint64_t>(E.Trigger), E.BytesCopied, E.BytesPromoted,
+          E.BytesMoved, E.BytesPretenured, E.ObjectsCopied, E.FramesAtGC,
+          E.SsbEntriesProcessed, E.DirtyCards, E.CardsScanned,
+          static_cast<uint64_t>(E.RegionsTotal),
+          static_cast<uint64_t>(E.RegionsDense),
+          static_cast<uint64_t>(E.RegionsEvacuated),
+          static_cast<uint64_t>(E.EngineFailover)})
+      mix(V);
+  }
+};
+
+std::pair<uint64_t, uint64_t> budgetedDigest(const char *Name) {
+  Workload &W = *findWorkload(Name);
+  EventStreamDigest D;
+  MutatorConfig C = budgetConfig(/*MaxPauseMicros=*/200);
+  C.VerifyLevel = 0;
+  C.Observer = &D;
+  Mutator M(C);
+  EXPECT_EQ(W.run(M, PbScale), W.expected(PbScale)) << Name;
+  // A final explicit major finishes a cycle the run left live, so the
+  // digest covers a finish's mark set too.
+  M.collect(/*Major=*/true);
+  return {D.Events, D.Hash};
+}
+
+} // namespace
+
+TEST(PauseBudgetDifferential, BudgetedEventStreamIsPinned) {
+  // Knuth-Bendix runs ten cycles at this budget. FFT's one cycle is the
+  // only one any workload opens from large-object pressure (the start that
+  // rescans the roots).
+  EXPECT_EQ(budgetedDigest("Knuth-Bendix"),
+            std::make_pair(uint64_t{3731}, uint64_t{5006193022656737499u}));
+  EXPECT_EQ(budgetedDigest("FFT"),
+            std::make_pair(uint64_t{30}, uint64_t{11388899914658696504u}));
 }
 
 //===----------------------------------------------------------------------===//
@@ -314,7 +379,13 @@ TEST(PauseBudgetTricolor, SeededMutationStormSurvivesSliceAudits) {
   // deletion-barrier case), drop roots whose referents were only reachable
   // from the snapshot (the root-snapshot case), and launder a pointer
   // through a store-then-sever chain (the young-mediator case).
+  // TILGC_TORTURE_SEED (CI's seed matrix) picks another storm; the OR
+  // keeps the xorshift state nonzero.
   uint64_t Rng = 0x9E3779B97F4A7C15ULL;
+  if (const char *E = std::getenv("TILGC_TORTURE_SEED")) {
+    uint64_t Seed = std::strtoull(E, nullptr, 10);
+    Rng = splitMix64(Seed) | 1;
+  }
   auto Rand = [&] {
     Rng ^= Rng << 13, Rng ^= Rng >> 7, Rng ^= Rng << 17;
     return Rng;
@@ -351,6 +422,44 @@ TEST(PauseBudgetTricolor, SeededMutationStormSurvivesSliceAudits) {
   EXPECT_GT(GC.incrementalSlices(), GC.incrementalCycles());
   std::string Err;
   EXPECT_TRUE(M.verifyHeap(Err)) << Err;
+}
+
+TEST(PauseBudgetTricolorDeath, AuditCatchesLostSnapshotEdge) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // A holder H (the only root) heads a long tenured list whose last cell
+  // is the only snapshot path to X. After the first slice H is black and
+  // the list's tail is still white. Storing X into H and clearing the tail
+  // with initField, which has no SATB barrier, loses X's snapshot edge:
+  // the next slice's audit must name it.
+  auto Scenario = [] {
+    MutatorConfig C = budgetConfig(/*MaxPauseMicros=*/1);
+    C.VerifyLevel = 2;
+    Mutator M(C);
+    GenerationalCollector &GC = genGC(M);
+    Frame F(M, keyPb());
+    constexpr int64_t Cells = 6000; // fits the nursery: no minor while built
+    F.set(2, consInt(M, sitePb(), -1, slot(F, 4)));     // X
+    F.set(3, consInt(M, sitePb(), Cells, slot(F, 2)));  // last cell -> X
+    for (int64_t I = Cells - 1; I > 0; --I)
+      F.set(3, consInt(M, sitePb(), I, slot(F, 3)));
+    F.set(1, consPtr(M, sitePb(), slot(F, 4), slot(F, 3))); // H = (null, list)
+    F.set(2, Value::null());
+    F.set(3, Value::null());
+    // Garbage until the promoting minor opens a cycle and one slice ran.
+    for (int64_t I = 0; GC.incrementalSlices() == 0 && I < 2000000; ++I)
+      consInt(M, sitePb(), I, slot(F, 4));
+    if (GC.incrementalSlices() == 0 || !GC.incrementalCycleLive())
+      return; // no death: the scenario never reached a live slice
+    Value Last = tail(F.get(1));
+    for (int64_t I = 1; I < Cells; ++I)
+      Last = tail(Last);
+    Value X = tail(Last);
+    M.writeField(F.get(1), 0, X, /*IsPointerField=*/true);
+    M.initField(Last, 1, Value::null()); // the lost SATB record
+    for (int64_t I = 0; GC.incrementalSlices() < 2 && I < 2000000; ++I)
+      consInt(M, sitePb(), I, slot(F, 4));
+  };
+  EXPECT_DEATH(Scenario(), "tricolor invariant violated");
 }
 
 TEST(PauseBudgetTricolor, WorkloadsUnderSliceAuditsMatchChecksums) {
