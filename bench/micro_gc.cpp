@@ -4,9 +4,9 @@
 //
 // Microbenchmarks for the primitive costs behind the tables: allocation
 // sequences, frame push/pop, raise to a handler, write-barrier flavors, a
-// pause-budget mark slice, and the stack-scan cost as a function of depth
-// — with and without generational stack collection, which is the
-// per-collection cost Table 5 aggregates.
+// pause-budget mark slice, allocation during a pause-budget cycle, and the
+// stack-scan cost as a function of depth — with and without generational
+// stack collection, which is the per-collection cost Table 5 aggregates.
 //
 //===----------------------------------------------------------------------===//
 
@@ -233,6 +233,40 @@ void BM_MarkSlice(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_MarkSlice);
+
+/// Per-allocation cost of a small record while a pause-budget cycle is
+/// live, slices included; Arg is MaxPauseMicros, and Arg 0 is the same
+/// heap with no budget, hence no cycle. A retained list of 2.5 MB opens the
+/// cycle (tenured free space falls below half the space) without reaching
+/// the stock major threshold, and the timed garbage records promote almost
+/// nothing, so the cycle stays live: the inline bump path runs between
+/// slices, and every stride of allocation one record takes the slow path
+/// and runs a slice.
+void BM_AllocRecordDuringCycle(benchmark::State &State) {
+  MutatorConfig C = genConfig();
+  C.BudgetBytes = 8u << 20;
+  C.Barrier = GenerationalCollector::BarrierKind::CardMarking;
+  C.MajorGc = GenerationalCollector::MajorGcKind::MarkCompact;
+  C.MaxPauseMicros = static_cast<uint32_t>(State.range(0));
+  Mutator M(C);
+  auto &GC = static_cast<GenerationalCollector &>(M.collector());
+  Frame F(M, microKey());
+  for (int64_t I = 0; I < 80000; ++I)
+    F.set(1, consInt(M, microSite(), I, slot(F, 1)));
+  if (C.MaxPauseMicros && !GC.incrementalCycleLive()) {
+    State.SkipWithError("the retained list never opened a cycle");
+    return;
+  }
+  uint64_t Slices = GC.incrementalSlices();
+  for (auto _ : State)
+    F.set(2, M.allocRecord(microSite(), 2, 0b10));
+  if (C.MaxPauseMicros && !GC.incrementalCycleLive())
+    State.SkipWithError("the cycle finished mid-measurement");
+  State.counters["slices"] =
+      static_cast<double>(GC.incrementalSlices() - Slices);
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_AllocRecordDuringCycle)->Arg(0)->Arg(1000);
 
 /// Builds a stack Depth frames deep, then measures minor collections (the
 /// per-GC stack-scan cost Table 5 aggregates). With markers the scan cost

@@ -131,7 +131,8 @@ public:
   // the same metadata/accounting steps through the wrappers below and
   // falls back to allocate() whenever the bump fails or the conditions
   // change. Any collection invalidates the mutator's cached space (it
-  // re-validates against stats().NumGC).
+  // re-validates against stats().NumGC), and the bump stays below
+  // inlineFence().
 
   /// Whether allocations from \p SiteId may use the inline fast path at
   /// all (generational pretenuring routes some sites elsewhere).
@@ -148,11 +149,22 @@ public:
     return nullptr;
   }
 
+  /// The slice fence on the inline bump path: the mutator bump-allocates
+  /// inline only while the space's frontier lies below it. Outside a
+  /// pause-budget cycle it is the maximum pointer; a live cycle keeps it at
+  /// its next slice watermark, or null while a slice is due, so the
+  /// allocation that makes a slice due is the one that reaches allocate().
+  const Word *inlineFence() const { return InlineFence; }
+  /// The fence outside a cycle: no frontier reaches it.
+  static const Word *noFence() {
+    return reinterpret_cast<const Word *>(~uintptr_t{0});
+  }
+
   /// The space a mutator-group TLAB refill may carve blocks from, or null
   /// to force the refill through the stop-the-world slow path. Defaults to
   /// the inline-alloc space; the pause-budget incremental mode overrides
-  /// this so TLABs stay live between slices while the single-mutator
-  /// inline path is disabled for per-allocation slice polling.
+  /// this so a refill fails exactly when a slice is due (TLAB bumps do not
+  /// see the inline fence).
   virtual Space *tlabAllocSpace(size_t &MaxBytes) {
     return inlineAllocSpace(MaxBytes);
   }
@@ -329,6 +341,8 @@ protected:
 
   /// See satbLive(). Set/cleared by the incremental major-mark cycle.
   bool SatbMarkingLive = false;
+  /// See inlineFence(). Kept by the incremental major-mark cycle.
+  const Word *InlineFence = noFence();
 
   CollectorEnv Env;
   const GcOptions &Opts;

@@ -88,9 +88,10 @@ void GenerationalCollector::noteFootprint() {
 
 Word *GenerationalCollector::allocate(ObjectKind Kind, uint32_t LenWords,
                                       uint32_t PtrMask, uint32_t SiteId) {
-  // Pause-budget mode: with a cycle live every allocation passes through
-  // here (the inline fast path is disabled), making allocation the slice
-  // safepoint — exactly the paper's safe-point discipline, reused.
+  // Pause-budget mode: allocation is the slice safepoint — exactly the
+  // paper's safe-point discipline, reused. The inline fast path stays open
+  // during a cycle, but its slice fence sends the allocation that finds a
+  // slice due here (as does every slow-path allocation and TLAB refill).
   if (TILGC_UNLIKELY(Cycle) && Cycle->sliceDue(*NurseryFrom))
     Cycle->runSlice();
 
@@ -285,9 +286,6 @@ void GenerationalCollector::doMinor(size_t NeedTenuredBytes,
   // pause the mutator observes.
   CollectionScope Scope(*this, GcGeneration::Minor, Trigger);
 
-  if (TILGC_UNLIKELY(Cycle))
-    Cycle->snapshotYoungEdges();
-
   Evacuator::Config C;
   C.From = {NurseryFrom, nullptr, nullptr};
   C.Dest = TenuredFrom;
@@ -383,33 +381,38 @@ void GenerationalCollector::doMinor(size_t NeedTenuredBytes,
   // truthful figure either way.
   if (GcEvent *Ev = Tel.currentEvent())
     Ev->BytesPromoted = TenuredFrom->usedBytes() - TenuredUsedBefore;
-  endCollectionEvent();
 
-  // Tenured pressure: if the next nursery-load might not fit, collect the
-  // old generation now (a separate telemetry event — the minor's is
-  // closed). In pause-budget mode the cycle starts early — once tenured
-  // free space drops below half the space (or three nursery-loads,
+  // Tenured pressure. In pause-budget mode a cycle starts early — once
+  // tenured free space drops below half the space (or three nursery-loads,
   // whichever is larger) — so the slices cover roughly the second half of
   // every inter-major period. The long runway is what keeps finishes rare
   // relative to slices: high-promotion workloads can eat a nursery-load
   // of tenured headroom in a single minor, and a small heap's whole
   // tenured space is only a handful of nursery-loads, so a threshold
   // keyed to the nursery alone leaves near-sliceless cycles whose
-  // stop-the-world finishes dominate the pause profile. An already-live
-  // cycle that still hits the stock threshold is out of runway and is
-  // force-finished via doMajor.
+  // stop-the-world finishes dominate the pause profile. The cycle opens
+  // inside this minor's pause, so its root and young seeding is charged to
+  // the minor's event and IncrementalMark phase.
+  bool Opened = false;
   if (TILGC_UNLIKELY(Cycle)) {
-    // The nursery is empty again: re-anchor the slice schedule so the next
-    // epoch gets its full complement of slices.
-    Cycle->armNextSlice(/*NurseryUsed=*/0);
+    // Re-anchor the slice schedule on the nursery's fill (aged-tenuring
+    // survivors stay young), so the next slice costs one stride of fresh
+    // allocation.
+    Cycle->armNextSlice(NurseryFrom->usedBytes());
   } else if (TILGC_UNLIKELY(incrementalModeActive()) &&
              TenuredFrom->freeBytes() <
                  std::max<size_t>(3 * NurseryFrom->capacityBytes(),
                                   TenuredFrom->capacityBytes() / 2)) {
     Cycle.emplace(*this, GcTrigger::TenuredPressure);
-    return;
+    Opened = true;
   }
-  if (TenuredFrom->freeBytes() < NurseryFrom->capacityBytes())
+  endCollectionEvent();
+
+  // If the next nursery-load might not fit, collect the old generation now
+  // (a separate telemetry event — the minor's is closed). An already-live
+  // cycle that still hits the stock threshold is out of runway and is
+  // force-finished via doMajor.
+  if (!Opened && TenuredFrom->freeBytes() < NurseryFrom->capacityBytes())
     doMajor(0, GcTrigger::TenuredPressure); // finishes a live cycle
 }
 

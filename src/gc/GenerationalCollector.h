@@ -75,6 +75,7 @@ public:
   const LargeObjectSpace &largeObjectSpace() const { return LOS; }
   const RememberedSet &rememberedSet() const { return RS; }
   size_t nurseryCapacity() const { return NurseryFrom->capacityBytes(); }
+  const Space &nursery() const { return *NurseryFrom; }
 
   /// Mutator fast path: non-pretenured sites bump-allocate into the
   /// nursery; pretenured sites (and large arrays, via the size bound) take
@@ -84,12 +85,9 @@ public:
   }
   Space *inlineAllocSpace(size_t &MaxBytes) override {
     MaxBytes = Opts.LargeObjectThresholdBytes;
-    // While an incremental cycle is live every allocation must reach
-    // allocate() so the slice scheduler can run: disabling the fast path
-    // (the mutator re-validates per GC epoch, and every slice bumps the
-    // epoch) is what makes allocation the slice safepoint.
-    if (TILGC_UNLIKELY(Cycle))
-      return nullptr;
+    // Stays open during an incremental cycle: the cycle's slice fence
+    // (inlineFence) sends exactly the allocations that find a slice due to
+    // allocate(), which runs it.
     return NurseryFrom;
   }
   Space *tlabAllocSpace(size_t &MaxBytes) override {

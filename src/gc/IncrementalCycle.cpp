@@ -46,11 +46,47 @@ IncrementalCycle::IncrementalCycle(GenerationalCollector &GC, GcTrigger Trigger)
   // the stack slot, and the finish rescan would miss it.
   GcTelemetry::PhaseScope PS(GC.Tel, GcPhase::IncrementalMark);
   seedRoots();
+  // Snapshot the young objects' edges. Young-at-snapshot objects are never
+  // traced (the engine drops young pointers until the finish), so their
+  // pointer fields now are exactly their snapshot edges: seeding them here
+  // keeps a tenured object whose only snapshot path runs through a young
+  // one, even if a minor later kills that young mediator. Later overwrites
+  // of those fields are logged by the deletion barrier, and objects born
+  // after the snapshot are seeded wholesale at the finish, so this is the
+  // cycle's only young walk.
+  GC.forEachYoungSpace([&](const Space &S) {
+    S.walk([&](Word *Payload, Word Descriptor, bool) {
+      forEachPointerFieldWith(Descriptor, Payload,
+                              [&](Word *Field) { MC.markSeed(*Field); });
+    });
+  });
 }
 
 IncrementalCycle::~IncrementalCycle() {
   GC.SatbMarkingLive = false;
+  GC.InlineFence = Collector::noFence();
   GC.disarmGcWatchdog(); // Releases the cycle-long hold taken at start.
+}
+
+void IncrementalCycle::setFence() {
+  // Rounded up to whole words, so the frontier lies below the fence
+  // exactly when the nursery's fill is below the watermark.
+  GC.InlineFence =
+      LosBytesSinceSlice >= StrideBytes
+          ? nullptr
+          : GC.NurseryFrom->baseAddr() +
+                (NextSliceNurseryBytes + sizeof(Word) - 1) / sizeof(Word);
+}
+
+void IncrementalCycle::armNextSlice(size_t NurseryUsed) {
+  NextSliceNurseryBytes = NurseryUsed + StrideBytes;
+  setFence();
+}
+
+void IncrementalCycle::noteLargeObject(Word *Payload, uint64_t Bytes) {
+  NewLOS.push_back(Payload);
+  LosBytesSinceSlice += Bytes;
+  setFence();
 }
 
 void IncrementalCycle::seedRoots() {
@@ -105,9 +141,10 @@ void IncrementalCycle::runSlice() {
   }
   GC.Tel.endCollection(EndNs);
   // Re-arm both pacing legs relative to the current fill so every slice
-  // costs one stride of fresh allocation.
-  armNextSlice(GC.NurseryFrom->usedBytes());
+  // costs one stride of fresh allocation (the LOS leg first: the fence
+  // reads it).
   LosBytesSinceSlice = 0;
+  armNextSlice(GC.NurseryFrom->usedBytes());
 
   // Watchdog Recover escalation: the supervisor decided the cycle has
   // overstayed its deadline. Fall back to the stop-the-world completion —
@@ -178,30 +215,12 @@ bool IncrementalCycle::inTenuredDelta(const Word *P) const {
 
 void IncrementalCycle::recordSatb(Word OldBits) {
   Word *P = reinterpret_cast<Word *>(OldBits);
-  // Young values need no record: the pre-minor sweep captures every young
-  // object's outgoing edges before it can die, and the finish seeds the
-  // survivors wholesale. Already black or grey: the snapshot edge is
+  // Young values need no record: a young-at-snapshot object's snapshot
+  // edges were seeded when the cycle opened, and the finish seeds every
+  // young survivor wholesale. Already black or grey: the snapshot edge is
   // preserved by the mark.
   if (P && !GC.inNursery(P) && !marked(P))
     Satb.push_back(OldBits);
-}
-
-void IncrementalCycle::snapshotYoungEdges() {
-  // Capture the outgoing old-generation edges of *every* young object
-  // before evacuation, including ones about to die. This closes the SATB
-  // young-mediator hole — a tenured object reachable at snapshot time only
-  // through a young object could otherwise be lost if the mutator stored
-  // its pointer into an already-black object (the barrier filters young
-  // values) and the young mediator then died in the minor. Promote-all
-  // keeps all young objects in the nursery at minor entry, so walking it
-  // alone is complete. Cost: one descriptor-driven pass over a nursery
-  // that is about to be evacuated anyway.
-  TimerScope T(GC.Stats.CopyTime);
-  GcTelemetry::PhaseScope PS(GC.Tel, GcPhase::IncrementalMark);
-  GC.NurseryFrom->walk([&](Word *Payload, Word Descriptor, bool) {
-    forEachPointerFieldWith(Descriptor, Payload,
-                            [&](Word *Field) { MC.markSeed(*Field); });
-  });
 }
 
 void IncrementalCycle::audit() const {

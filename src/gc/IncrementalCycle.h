@@ -14,8 +14,16 @@
 /// reachable when it began, a deletion barrier (recordSatb) preserves edges
 /// the mutator overwrites mid-cycle, and everything allocated or promoted
 /// during the cycle is treated as live (allocate-black, materialized as
-/// finish-time seeds). The one-cycle float this retains is collected by the
-/// next cycle — the same trade every SATB collector makes.
+/// finish-time seeds). Objects young at the snapshot are never traced, so
+/// their snapshot edges are seeded once, when the cycle opens. The
+/// one-cycle float this retains is collected by the next cycle — the same
+/// trade every SATB collector makes.
+///
+/// Slices are paced by allocation. The mutator keeps its inline bump path
+/// for the whole cycle, behind the collector's slice fence: the fence sits
+/// at the nursery address of the next slice watermark (null while the
+/// large-object leg is due), so the allocation that makes a slice due is
+/// the first to miss the inline path and run it.
 ///
 /// One IncrementalCycle exists exactly while a cycle is live: constructing
 /// the collector's std::optional starts it, resetting it ends it, and no
@@ -39,16 +47,18 @@ class GenerationalCollector;
 class IncrementalCycle {
 public:
   /// Opens a cycle on \p GC: creates the incremental engine, snapshots the
-  /// current root values as mark seeds, raises the SATB barrier, and takes
-  /// a cycle-long watchdog hold. \p Trigger is recorded on slice events and
-  /// names the start site. TenuredPressure starts at a minor collection's
-  /// tail, whose root scan is current and fixed up. LargeObjectPressure
-  /// starts from the LOS soft-pressure path between collections and
-  /// re-scans the stack first (markerless configurations only — a
-  /// marker-updating scan outside a collection would re-anchor frames
-  /// without redirecting their roots, breaking §5).
+  /// current root values and the young objects' pointer fields as mark
+  /// seeds, raises the SATB barrier and the slice fence, and takes a
+  /// cycle-long watchdog hold. \p Trigger is recorded on slice events and
+  /// names the start site. TenuredPressure starts inside a minor
+  /// collection's pause, whose root scan is current and fixed up.
+  /// LargeObjectPressure starts from the LOS soft-pressure path between
+  /// collections and re-scans the stack first (markerless configurations
+  /// only — a marker-updating scan outside a collection would re-anchor
+  /// frames without redirecting their roots, breaking §5).
   IncrementalCycle(GenerationalCollector &GC, GcTrigger Trigger);
-  /// Ends the cycle: lowers the SATB barrier, releases the watchdog hold.
+  /// Ends the cycle: lowers the SATB barrier and the slice fence, releases
+  /// the watchdog hold.
   ~IncrementalCycle();
 
   /// Whether enough allocation has accumulated for the next slice. Two
@@ -85,26 +95,23 @@ public:
   /// the cycle and never traced between slices) or already marked.
   void recordSatb(Word OldBits);
 
-  /// A minor collection is about to evacuate the nursery mid-cycle: seeds
-  /// the old-generation referents of every young object first.
-  void snapshotYoungEdges();
-
   /// A large object born mid-cycle: seeded at finish, paced as LOS bytes.
-  void noteLargeObject(Word *Payload, uint64_t Bytes) {
-    NewLOS.push_back(Payload);
-    LosBytesSinceSlice += Bytes;
-  }
+  /// Closes the slice fence once the LOS leg is due.
+  void noteLargeObject(Word *Payload, uint64_t Bytes);
 
-  /// Re-arms the nursery pacing leg one stride past \p NurseryUsed.
-  void armNextSlice(size_t NurseryUsed) {
-    NextSliceNurseryBytes = NurseryUsed + StrideBytes;
-  }
+  /// Re-arms the nursery pacing leg one stride past \p NurseryUsed (the
+  /// current nursery's fill) and moves the slice fence with it.
+  void armNextSlice(size_t NurseryUsed);
 
   size_t satbPending() const { return Satb.size(); }
 
 private:
   /// Seeds the engine with the values of every root slot (start and close).
   void seedRoots();
+  /// Points the collector's inline fence at the nursery watermark, or at
+  /// null while the LOS leg is due: the inline path is open exactly while
+  /// sliceDue() is false.
+  void setFence();
   bool marked(const Word *P) const;
   bool inTenuredDelta(const Word *P) const;
   /// Visits every cycle-era object — every young object, the tenured delta,
@@ -145,7 +152,8 @@ private:
   /// contribute ~128 slices.
   size_t StrideBytes;
   /// Nursery-allocation pacing: a slice is due when the nursery has grown
-  /// past this watermark; re-armed after each slice and each minor.
+  /// past this watermark; re-armed after each slice and each minor. The
+  /// slice fence is its address in the nursery.
   size_t NextSliceNurseryBytes = 0;
   /// Large-object bytes allocated since the last slice (the second pacing
   /// leg of sliceDue).

@@ -196,11 +196,10 @@ public:
   // arrive via markSeed() and bounded grey-draining runs through
   // markStep(), interleaved with mutator execution across many slices.
   // Young pointers are dropped (neither marked nor queued) until
-  // enableYoungMarking(): every young object is a cycle-era allocation
-  // (the nursery was empty when the cycle began and minors empty it
-  // again), so the cycle treats young as allocate-black and seeds the
-  // whole young population at finish — which also guarantees the grey set
-  // never holds a pointer a minor collection could move.
+  // enableYoungMarking(): the cycle treats young as allocate-black, seeds
+  // the young objects' snapshot edges when it opens and the whole young
+  // population at finish — which also guarantees the grey set never holds
+  // a pointer a minor collection could move.
   // finishIncrementalMark() closes the phase exactly like mark(), so
   // plannedTenuredBytes()/preCommitCheck()/compact() run unchanged.
 

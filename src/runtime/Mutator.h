@@ -147,11 +147,12 @@ public:
   // designates a space (the nursery / the active semispace) and a size
   // bound once, the mutator caches them and allocates inline until a
   // collection invalidates the cache (stats().NumGC is the epoch). Sites
-  // the collector routes elsewhere (pretenured) and objects over the bound
-  // (large arrays) fall through to the collector's full allocate(), as
-  // does any bump failure — so the slow path's semantics are preserved
-  // exactly; the fast path only skips the virtual dispatch and the
-  // per-call placement re-derivation.
+  // the collector routes elsewhere (pretenured), objects over the bound
+  // (large arrays) and bumps from a frontier at or past the collector's
+  // slice fence (a pause-budget mark slice is due) fall through to the
+  // collector's full allocate(), as does any bump failure — so the slow
+  // path's semantics are preserved exactly; the fast path only skips the
+  // virtual dispatch and the per-call placement re-derivation.
   //===--------------------------------------------------------------------===
 
   /// A record of \p NumFields fields; bit i of \p PtrMask marks field i as
@@ -382,7 +383,8 @@ private:
         FastEpoch = GC->stats().NumGC;
       }
       if (TILGC_LIKELY(FastSpace &&
-                       objectTotalBytes(Descriptor) < FastMaxBytes)) {
+                       objectTotalBytes(Descriptor) < FastMaxBytes &&
+                       FastSpace->frontier() < GC->inlineFence())) {
         Word *Payload = FastSpace->allocate(Descriptor, GC->objectMeta(Site));
         if (TILGC_LIKELY(Payload != nullptr)) {
           GC->noteAllocated(Kind, Descriptor, Site);

@@ -32,7 +32,14 @@
 ///    fails over to the semispace evacuation like a stock major's.
 ///  * Accounting: a slice's event opens and closes on the same two clock
 ///    stamps as its IncrementalMark phase, and the allocation-paced slice
-///    count for a fixed workload does not move.
+///    count for a fixed workload does not move (with aged tenuring too).
+///    The inline path's slice fence is exact: a slice runs at precisely
+///    the allocation that finds its watermark reached, at the first small
+///    allocation after a large object makes the LOS leg due, one stride
+///    after a large-object-pressure opening, and never without a budget.
+///  * The young-mediator case: a tenured object reachable at the snapshot
+///    only through a young object that a minor then kills is kept by the
+///    cycle's one young-edge seed.
 ///  * A budget on any engine other than the generational mark-compact one
 ///    is rejected when the Mutator is built, not silently dropped.
 ///
@@ -53,6 +60,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <tuple>
@@ -364,6 +372,153 @@ TEST(PauseBudgetAccounting, SliceMarkPhaseIsItsWholePause) {
   EXPECT_EQ(Audit.Mismatches, 0u) << Audit.FirstMismatch;
 }
 
+TEST(PauseBudgetAccounting, AgedTenuringRearmsFromNurseryFill) {
+  // Under aged tenuring a minor's young survivors stay in the nursery, so
+  // the slice watermark is re-armed one stride past the nursery's fill, not
+  // past an empty nursery: every slice costs one stride of fresh
+  // allocation.
+  Workload &W = *findWorkload("Knuth-Bendix");
+  MutatorConfig C = budgetConfig(/*MaxPauseMicros=*/200);
+  C.PromoteAgeThreshold = 3;
+  Mutator M(C);
+  ASSERT_EQ(W.run(M, PbScale), W.expected(PbScale));
+  EXPECT_EQ(genGC(M).incrementalSlices(), 3260u);
+}
+
+namespace {
+
+/// Allocation distance between slices (IncrementalCycle's stride).
+size_t strideBytes(const GenerationalCollector &GC) {
+  return std::max<size_t>(256, GC.nurseryCapacity() / 128);
+}
+
+/// The fence a nursery watermark of \p WatermarkBytes must produce.
+const Word *fenceAt(const GenerationalCollector &GC, size_t WatermarkBytes) {
+  return GC.nursery().baseAddr() +
+         (WatermarkBytes + sizeof(Word) - 1) / sizeof(Word);
+}
+
+/// Collections so far other than mark slices (which bump NumGC too).
+uint64_t collections(Mutator &M) {
+  return M.gcStats().NumGC - genGC(M).incrementalSlices();
+}
+
+} // namespace
+
+TEST(PauseBudgetAccounting, InlineFenceRunsEachSliceAtItsWatermark) {
+  Mutator M(budgetConfig(/*MaxPauseMicros=*/200));
+  GenerationalCollector &GC = genGC(M);
+  Frame F(M, keyPb());
+  EXPECT_EQ(M.collector().inlineFence(), Collector::noFence());
+  // Garbage only: the first minor opens the cycle (a 1 MiB heap's tenured
+  // space is under three nursery-loads), and with nothing promoted no
+  // tenured pressure finishes it.
+  for (int64_t I = 0; !GC.incrementalCycleLive() && I < 500000; ++I)
+    consInt(M, sitePb(), I, slot(F, 2));
+  ASSERT_TRUE(GC.incrementalCycleLive());
+  // Run to the first slice on the nursery leg: from there the watermark is
+  // the fill before the slicing allocation plus one stride.
+  const size_t Stride = strideBytes(GC);
+  size_t Watermark = 0;
+  for (uint64_t S0 = GC.incrementalSlices(); GC.incrementalSlices() == S0;) {
+    Watermark = GC.nursery().usedBytes() + Stride;
+    consInt(M, sitePb(), 0, slot(F, 2));
+  }
+  ASSERT_EQ(GC.incrementalSlices(), 1u);
+
+  // Every later allocation: a slice runs exactly when it starts at or past
+  // the watermark, and the fence always sits at the watermark's address.
+  // Checked until the next minor moves the schedule.
+  const uint64_t Collections = collections(M);
+  unsigned Checked = 0;
+  for (;;) {
+    ASSERT_EQ(M.collector().inlineFence(), fenceAt(GC, Watermark));
+    size_t Used = GC.nursery().usedBytes();
+    uint64_t Before = GC.incrementalSlices();
+    consInt(M, sitePb(), 0, slot(F, 2));
+    if (collections(M) != Collections)
+      break;
+    uint64_t Ran = GC.incrementalSlices() - Before;
+    ASSERT_EQ(Ran, Used >= Watermark ? 1u : 0u)
+        << "fill " << Used << " B, watermark " << Watermark << " B";
+    if (Ran) {
+      Watermark = Used + Stride;
+      ++Checked;
+    }
+  }
+  EXPECT_GT(Checked, 20u) << "too few slices between two minors";
+  // The minor emptied the nursery and re-armed one stride past it.
+  ASSERT_TRUE(GC.incrementalCycleLive());
+  EXPECT_EQ(M.collector().inlineFence(), fenceAt(GC, Stride));
+
+  // A large object that makes the LOS leg due runs no slice itself, closes
+  // the fence, and the next small allocation runs exactly one slice.
+  uint64_t Before = GC.incrementalSlices();
+  uint32_t Words = static_cast<uint32_t>(Stride / sizeof(Word)) + 512;
+  ASSERT_GE(Words * sizeof(Word), M.config().LargeObjectThresholdBytes);
+  M.allocNonPtrArray(sitePb(), Words);
+  EXPECT_EQ(GC.incrementalSlices(), Before);
+  EXPECT_EQ(M.collector().inlineFence(), nullptr);
+  Before = GC.incrementalSlices();
+  consInt(M, sitePb(), 0, slot(F, 2));
+  EXPECT_EQ(GC.incrementalSlices(), Before + 1);
+  EXPECT_NE(M.collector().inlineFence(), nullptr);
+
+  M.collect(/*Major=*/true);
+  EXPECT_FALSE(GC.incrementalCycleLive());
+  EXPECT_EQ(M.collector().inlineFence(), Collector::noFence());
+}
+
+TEST(PauseBudgetAccounting, LargeObjectCycleSlicesOneStrideAfterOpening) {
+  // A cycle opened by large-object pressure starts between collections,
+  // so the mutator's fast-path epoch does not change; the fence still
+  // holds its first slice to one stride of nursery allocation. Large
+  // objects here are smaller than a stride, so the opening one leaves the
+  // LOS leg idle.
+  MutatorConfig C = budgetConfig(/*MaxPauseMicros=*/200);
+  C.LargeObjectThresholdBytes = 1024;
+  Mutator M(C);
+  GenerationalCollector &GC = genGC(M);
+  Frame F(M, keyPb());
+  const size_t Stride = strideBytes(GC);
+  constexpr uint32_t ArrayWords = 128; // 1,040 bytes with its header
+  ASSERT_LT((ArrayWords + HeaderWords) * sizeof(Word), Stride);
+  // One small allocation first, so the fast path is cached for this epoch.
+  F.set(1, consInt(M, sitePb(), -1, slot(F, 1)));
+  for (int I = 0; !GC.incrementalCycleLive() && I < 10000; ++I)
+    M.allocNonPtrArray(sitePb(), ArrayWords);
+  ASSERT_TRUE(GC.incrementalCycleLive()) << "LOS pressure opened no cycle";
+  ASSERT_EQ(GC.incrementalSlices(), 0u);
+  const size_t Watermark = GC.nursery().usedBytes() + Stride;
+  EXPECT_EQ(M.collector().inlineFence(), fenceAt(GC, Watermark));
+  for (int I = 0; I < 100000 && GC.incrementalSlices() == 0; ++I) {
+    size_t Used = GC.nursery().usedBytes();
+    consInt(M, sitePb(), I, slot(F, 1));
+    ASSERT_EQ(GC.incrementalSlices(), Used >= Watermark ? 1u : 0u)
+        << "fill " << Used << " B, watermark " << Watermark << " B";
+  }
+  EXPECT_EQ(GC.incrementalSlices(), 1u);
+}
+
+TEST(PauseBudgetAccounting, ZeroBudgetNeverRaisesTheFence) {
+  // No budget, no cycle: minors, majors and large objects all leave the
+  // inline path unfenced.
+  MutatorConfig C = budgetConfig(/*MaxPauseMicros=*/0);
+  Mutator M(C);
+  GenerationalCollector &GC = genGC(M);
+  Frame F(M, keyPb());
+  for (int64_t I = 0; I < 300000; ++I) {
+    F.set(1, consInt(M, sitePb(), I, slot(F, 1)));
+    if (I % 4096 == 0)
+      F.set(1, Value::null());
+    if (I % 1024 == 0)
+      M.allocNonPtrArray(sitePb(), 1024);
+    ASSERT_EQ(M.collector().inlineFence(), Collector::noFence()) << I;
+  }
+  EXPECT_GT(M.gcStats().NumMajorGC, 0u);
+  EXPECT_EQ(GC.incrementalCycles(), 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Tricolor torture: seeded mutation between slices, audited at VerifyLevel 2.
 //===----------------------------------------------------------------------===//
@@ -460,6 +615,54 @@ TEST(PauseBudgetTricolorDeath, AuditCatchesLostSnapshotEdge) {
       consInt(M, sitePb(), I, slot(F, 4));
   };
   EXPECT_DEATH(Scenario(), "tricolor invariant violated");
+}
+
+TEST(PauseBudgetTricolor, YoungMediatorSurvivesItsMinor) {
+  // T is tenured and reachable at the snapshot only through a young Y.
+  // After a slice the mutator stores T into a black holder H (the barrier
+  // logs H's old value, null), drops Y, and a minor kills Y. Slices never
+  // trace young objects, so the only record of the snapshot edge Y -> T is
+  // the young-edge seed taken when the cycle opened; the VerifyLevel 2
+  // audit after the next slice checks that T is still retained. The cycle
+  // opens from large-object pressure, between collections, so the nursery
+  // holds Y at the snapshot; the heap is large enough that the minor which
+  // tenures T and H opens none.
+  MutatorConfig C = budgetConfig(/*MaxPauseMicros=*/1000);
+  C.BudgetBytes = 8u << 20;
+  C.VerifyLevel = 2;
+  Mutator M(C);
+  GenerationalCollector &GC = genGC(M);
+  Frame F(M, keyPb());
+  F.set(1, consPtr(M, sitePb(), slot(F, 4), slot(F, 4))); // H
+  F.set(3, consInt(M, sitePb(), 4242, slot(F, 4)));       // T
+  M.collect(/*Major=*/false);
+  ASSERT_TRUE(GC.inTenured(F.get(1).asPtr()));
+  ASSERT_TRUE(GC.inTenured(F.get(3).asPtr()));
+  ASSERT_FALSE(GC.incrementalCycleLive());
+  F.set(2, consPtr(M, sitePb(), slot(F, 3), slot(F, 4))); // Y = (T, null)
+  F.set(3, Value::null());
+  for (int I = 0; !GC.incrementalCycleLive() && I < 256; ++I)
+    M.allocNonPtrArray(sitePb(), 8192);
+  ASSERT_TRUE(GC.incrementalCycleLive()) << "LOS pressure opened no cycle";
+  ASSERT_TRUE(GC.inNursery(F.get(2).asPtr()));
+  for (int64_t I = 0; GC.incrementalSlices() == 0 && I < 100000; ++I)
+    consInt(M, sitePb(), I, slot(F, 4));
+  ASSERT_EQ(GC.incrementalSlices(), 1u);
+
+  M.writeField(F.get(1), 0, Mutator::getField(F.get(2), 0),
+               /*IsPointerField=*/true);
+  F.set(2, Value::null());
+  M.collect(/*Major=*/false);
+  ASSERT_TRUE(GC.incrementalCycleLive());
+  ASSERT_EQ(M.gcStats().NumMajorGC, 0u);
+  for (int64_t I = 0; GC.incrementalSlices() < 2 && I < 100000; ++I)
+    consInt(M, sitePb(), I, slot(F, 4));
+  ASSERT_EQ(GC.incrementalSlices(), 2u);
+
+  M.collect(/*Major=*/true);
+  EXPECT_EQ(headInt(Mutator::getField(F.get(1), 0)), 4242);
+  std::string Err;
+  EXPECT_TRUE(M.verifyHeap(Err)) << Err;
 }
 
 TEST(PauseBudgetTricolor, WorkloadsUnderSliceAuditsMatchChecksums) {
