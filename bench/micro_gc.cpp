@@ -3,14 +3,17 @@
 // Part of the tilgc project (PLDI'98 GC reproduction).
 //
 // Microbenchmarks for the primitive costs behind the tables: allocation
-// sequences, frame push/pop, raise to a handler, write-barrier flavors, a
-// pause-budget mark slice, allocation during a pause-budget cycle, and the
-// stack-scan cost as a function of depth — with and without generational
-// stack collection, which is the per-collection cost Table 5 aggregates.
+// sequences (the bump path alone, and amortized over minor collections;
+// standalone and in a group of one), frame push/pop, raise to a handler,
+// write-barrier flavors, a pause-budget mark slice, allocation during a
+// pause-budget cycle, and the stack-scan cost as a function of depth —
+// with and without generational stack collection, which is the
+// per-collection cost Table 5 aggregates.
 //
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Mutator.h"
+#include "runtime/MutatorGroup.h"
 
 #include "workloads/MLLib.h"
 
@@ -43,22 +46,48 @@ MutatorConfig genConfig() {
   return C;
 }
 
-void BM_AllocRecordGenerational(benchmark::State &State) {
-  Mutator M(genConfig());
-  Frame F(M, microKey());
-  for (auto _ : State) {
-    F.set(1, M.allocRecord(microSite(), 2, 0b10));
-    benchmark::DoNotOptimize(F.get(1).bits());
-  }
-  State.SetItemsProcessed(State.iterations());
-}
-BENCHMARK(BM_AllocRecordGenerational);
-
-void BM_AllocRecordSemispace(benchmark::State &State) {
+MutatorConfig semiConfig() {
   MutatorConfig C;
   C.Kind = CollectorKind::Semispace;
   C.BudgetBytes = 64u << 20;
-  Mutator M(C);
+  return C;
+}
+
+/// Records per timed batch in the bump-only benches: 128 KB, a quarter of
+/// the default nursery, so a batch that starts in an emptied nursery never
+/// collects.
+constexpr int64_t BumpBatch = 4096;
+
+/// Bump-only: every iteration is one batch of BumpBatch two-field records
+/// into an empty nursery (or semispace), collected outside the timed
+/// region, so the time is the bump path alone — TLAB refills included, no
+/// collection. A retained 32 KB list keeps the semispace collector, which
+/// resizes toward 10% liveness, at room for a batch.
+void allocRecordsBumpOnly(benchmark::State &State, Mutator &M) {
+  Frame F(M, microKey());
+  for (int64_t I = 0; I < 1024; ++I)
+    F.set(2, consInt(M, microSite(), I, slot(F, 2)));
+  const GcStats &Stats = M.collector().stats();
+  for (auto _ : State) {
+    State.PauseTiming();
+    M.collect();
+    uint64_t Collections = Stats.NumGC;
+    State.ResumeTiming();
+    for (int64_t I = 0; I < BumpBatch; ++I) {
+      F.set(1, M.allocRecord(microSite(), 2, 0b10));
+      benchmark::DoNotOptimize(F.get(1).bits());
+    }
+    if (Stats.NumGC != Collections) {
+      State.SkipWithError("a batch collected");
+      return;
+    }
+  }
+  State.SetItemsProcessed(State.iterations() * BumpBatch);
+}
+
+/// Amortized: one record per iteration, minor collections (one per nursery
+/// of records) inside the timed region.
+void allocRecordsAmortized(benchmark::State &State, Mutator &M) {
   Frame F(M, microKey());
   for (auto _ : State) {
     F.set(1, M.allocRecord(microSite(), 2, 0b10));
@@ -66,7 +95,64 @@ void BM_AllocRecordSemispace(benchmark::State &State) {
   }
   State.SetItemsProcessed(State.iterations());
 }
+
+void BM_AllocRecordGenerationalBump(benchmark::State &State) {
+  Mutator M(genConfig());
+  allocRecordsBumpOnly(State, M);
+}
+BENCHMARK(BM_AllocRecordGenerationalBump);
+
+void BM_AllocRecordGenerational(benchmark::State &State) {
+  Mutator M(genConfig());
+  allocRecordsAmortized(State, M);
+}
+BENCHMARK(BM_AllocRecordGenerational);
+
+void BM_AllocRecordSemispaceBump(benchmark::State &State) {
+  Mutator M(semiConfig());
+  allocRecordsBumpOnly(State, M);
+}
+BENCHMARK(BM_AllocRecordSemispaceBump);
+
+void BM_AllocRecordSemispace(benchmark::State &State) {
+  Mutator M(semiConfig());
+  allocRecordsAmortized(State, M);
+}
 BENCHMARK(BM_AllocRecordSemispace);
+
+/// A pretenured record then a nursery record per iteration: the slow path
+/// a profile-driven pretenure set sends every allocation from its sites
+/// through, and the nursery bump right after it (amortized majors of the
+/// garbage tenured records included).
+void BM_AllocRecordPretenured(benchmark::State &State) {
+  static const uint32_t Tenured =
+      AllocSiteRegistry::global().define("micro.pretenured");
+  MutatorConfig C = genConfig();
+  C.Pretenure.push_back(PretenureDecision{Tenured, false});
+  Mutator M(C);
+  Frame F(M, microKey());
+  for (auto _ : State) {
+    F.set(1, M.allocRecord(Tenured, 2, 0b10));
+    F.set(2, M.allocRecord(microSite(), 2, 0b10));
+  }
+  State.SetItemsProcessed(State.iterations() * 2);
+}
+BENCHMARK(BM_AllocRecordPretenured);
+
+/// The same pair on the one thread of a MutatorGroup of one: the shared
+/// bump path plus the group's safepoint poll and buffered barriers. Timed
+/// in real time, since the body runs on the group's thread.
+void BM_AllocRecordGroup1Bump(benchmark::State &State) {
+  MutatorGroup G(genConfig(), 1);
+  G.run([&](Mutator &M, unsigned) { allocRecordsBumpOnly(State, M); });
+}
+BENCHMARK(BM_AllocRecordGroup1Bump)->UseRealTime();
+
+void BM_AllocRecordGroup1(benchmark::State &State) {
+  MutatorGroup G(genConfig(), 1);
+  G.run([&](Mutator &M, unsigned) { allocRecordsAmortized(State, M); });
+}
+BENCHMARK(BM_AllocRecordGroup1)->UseRealTime();
 
 void BM_ConsCell(benchmark::State &State) {
   Mutator M(genConfig());
@@ -239,9 +325,9 @@ BENCHMARK(BM_MarkSlice);
 /// heap with no budget, hence no cycle. A retained list of 2.5 MB opens the
 /// cycle (tenured free space falls below half the space) without reaching
 /// the stock major threshold, and the timed garbage records promote almost
-/// nothing, so the cycle stays live: the inline bump path runs between
-/// slices, and every stride of allocation one record takes the slow path
-/// and runs a slice.
+/// nothing, so the cycle stays live: the bump path runs between slices,
+/// and every stride of allocation one record takes the slow path and runs
+/// a slice.
 void BM_AllocRecordDuringCycle(benchmark::State &State) {
   MutatorConfig C = genConfig();
   C.BudgetBytes = 8u << 20;

@@ -124,49 +124,35 @@ public:
   /// profiler can compute death ages.
   uint64_t allocStampKB() const { return Stats.BytesAllocated >> 10; }
 
-  // --- Mutator inline-allocation fast path ------------------------------
+  // --- Mutator bump path ----------------------------------------------
   //
-  // The mutator may bump-allocate directly into a collector-designated
-  // space, bypassing the virtual allocate() call, as long as it performs
-  // the same metadata/accounting steps through the wrappers below and
-  // falls back to allocate() whenever the bump fails or the conditions
-  // change. Any collection invalidates the mutator's cached space (it
-  // re-validates against stats().NumGC), and the bump stays below
-  // inlineFence().
+  // Every mutator bump-allocates into thread-local blocks carved from a
+  // collector-designated space, stamping headers and counting allocation
+  // locally, and folds that state back in before it enters the collector
+  // (see runtime/Mutator.h). The collector only designates: which sites
+  // may bump, up to which size, into which space, and below which fence.
 
-  /// Whether allocations from \p SiteId may use the inline fast path at
-  /// all (generational pretenuring routes some sites elsewhere).
-  virtual bool siteAllowsInlineAlloc(uint32_t SiteId) const {
-    (void)SiteId;
-    return false;
-  }
+  /// Whether allocations from \p SiteId may take the bump path at all
+  /// (generational pretenuring routes some sites elsewhere).
+  virtual bool siteAllowsInlineAlloc(uint32_t SiteId) const = 0;
 
-  /// The space the mutator may bump-allocate into, or null if there is
-  /// none. \p MaxBytes receives the exclusive object-size bound for the
-  /// fast path (objects at least that big take the slow path).
-  virtual Space *inlineAllocSpace(size_t &MaxBytes) {
-    MaxBytes = 0;
-    return nullptr;
-  }
+  /// The space mutator blocks are carved from. Changes only at
+  /// collections.
+  virtual Space *inlineAllocSpace() = 0;
 
-  /// The slice fence on the inline bump path: the mutator bump-allocates
-  /// inline only while the space's frontier lies below it. Outside a
-  /// pause-budget cycle it is the maximum pointer; a live cycle keeps it at
-  /// its next slice watermark, or null while a slice is due, so the
-  /// allocation that makes a slice due is the one that reaches allocate().
+  /// The exclusive object-size bound for the bump path: objects at least
+  /// this big take allocate(). Fixed for the collector's lifetime.
+  virtual size_t inlineAllocMaxBytes() const = 0;
+
+  /// The slice fence on the bump path: the mutator bumps an object only if
+  /// it starts below the fence. Outside a pause-budget cycle it is the
+  /// maximum pointer; a live cycle keeps it at its next slice watermark,
+  /// or null while a slice is due, so the allocation that makes a slice
+  /// due is the one that reaches allocate().
   const Word *inlineFence() const { return InlineFence; }
   /// The fence outside a cycle: no frontier reaches it.
   static const Word *noFence() {
     return reinterpret_cast<const Word *>(~uintptr_t{0});
-  }
-
-  /// The space a mutator-group TLAB refill may carve blocks from, or null
-  /// to force the refill through the stop-the-world slow path. Defaults to
-  /// the inline-alloc space; the pause-budget incremental mode overrides
-  /// this so a refill fails exactly when a slice is due (TLAB bumps do not
-  /// see the inline fence).
-  virtual Space *tlabAllocSpace(size_t &MaxBytes) {
-    return inlineAllocSpace(MaxBytes);
   }
 
   // --- SATB deletion barrier (pause-budget incremental marking) ---------
@@ -191,16 +177,6 @@ public:
   /// multi-mutator runtime the world is stopped around each one.
   void registerContext(const MutatorContext &C);
 
-  /// Metadata word for a new object (public face of makeMeta, for the
-  /// mutator fast path).
-  Word objectMeta(uint32_t SiteId) const { return makeMeta(SiteId); }
-
-  /// Allocation accounting (public face of accountAllocation, for the
-  /// mutator fast path).
-  void noteAllocated(ObjectKind Kind, Word Descriptor, uint32_t SiteId) {
-    accountAllocation(Kind, Descriptor, SiteId);
-  }
-
 protected:
   /// Terminal rung of the OOM escalation ladder: records the failure and
   /// throws HeapExhausted carrying heapStateDump() and the ladder stage
@@ -223,7 +199,8 @@ protected:
     return meta::make(SiteId, allocStampKB());
   }
 
-  /// Common per-allocation accounting (+ profiler hook).
+  /// Per-allocation accounting (+ profiler hook) of allocate(); the
+  /// mutator's bump path counts locally and merges.
   void accountAllocation(ObjectKind Kind, Word Descriptor, uint32_t SiteId) {
     uint64_t Bytes = objectTotalBytes(Descriptor);
     Stats.BytesAllocated += Bytes;

@@ -89,9 +89,9 @@ void GenerationalCollector::noteFootprint() {
 Word *GenerationalCollector::allocate(ObjectKind Kind, uint32_t LenWords,
                                       uint32_t PtrMask, uint32_t SiteId) {
   // Pause-budget mode: allocation is the slice safepoint — exactly the
-  // paper's safe-point discipline, reused. The inline fast path stays open
-  // during a cycle, but its slice fence sends the allocation that finds a
-  // slice due here (as does every slow-path allocation and TLAB refill).
+  // paper's safe-point discipline, reused. The mutator's bump path stays
+  // open during a cycle, but its slice fence sends the allocation that
+  // finds a slice due here (as does every slow-path allocation).
   if (TILGC_UNLIKELY(Cycle) && Cycle->sliceDue(*NurseryFrom))
     Cycle->runSlice();
 

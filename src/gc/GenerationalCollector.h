@@ -77,28 +77,17 @@ public:
   size_t nurseryCapacity() const { return NurseryFrom->capacityBytes(); }
   const Space &nursery() const { return *NurseryFrom; }
 
-  /// Mutator fast path: non-pretenured sites bump-allocate into the
-  /// nursery; pretenured sites (and large arrays, via the size bound) take
-  /// the full allocate() path.
+  /// Mutator bump path: non-pretenured sites bump into the nursery;
+  /// pretenured sites (and large arrays, via the size bound) take the full
+  /// allocate() path. The nursery stays open during an incremental cycle:
+  /// the cycle's slice fence (inlineFence) sends exactly the allocations
+  /// that find a slice due to allocate(), which runs it.
   bool siteAllowsInlineAlloc(uint32_t SiteId) const override {
     return SiteId >= PretenureFlag.size() || PretenureFlag[SiteId] == 0;
   }
-  Space *inlineAllocSpace(size_t &MaxBytes) override {
-    MaxBytes = Opts.LargeObjectThresholdBytes;
-    // Stays open during an incremental cycle: the cycle's slice fence
-    // (inlineFence) sends exactly the allocations that find a slice due to
-    // allocate(), which runs it.
-    return NurseryFrom;
-  }
-  Space *tlabAllocSpace(size_t &MaxBytes) override {
-    MaxBytes = Opts.LargeObjectThresholdBytes;
-    // Group runtime: TLABs stay live during an incremental cycle (a
-    // per-allocation poll would serialize every thread through the stop-
-    // the-world path); instead a refill fails exactly when a slice is due,
-    // funneling one thread into allocateStopped -> one slice per stop.
-    if (TILGC_UNLIKELY(Cycle) && Cycle->sliceDue(*NurseryFrom))
-      return nullptr;
-    return NurseryFrom;
+  Space *inlineAllocSpace() override { return NurseryFrom; }
+  size_t inlineAllocMaxBytes() const override {
+    return Opts.LargeObjectThresholdBytes;
   }
 
   /// SATB deletion barrier: IncrementalCycle::recordSatb. A stale call

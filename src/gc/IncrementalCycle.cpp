@@ -103,7 +103,7 @@ void IncrementalCycle::runSlice() {
   uint64_t BeginNs = monotonicNs();
   TimerScope Gc(GC.Stats.GcTime, BeginNs);
   FaultInjector::ScopedGcPhase InGc;
-  ++GC.Stats.NumGC; // Invalidates mutator fast-path epochs; NumMajorGC is
+  ++GC.Stats.NumGC; // A slice counts as a collection; NumMajorGC is
                     // bumped once, by the finishing collection.
   ++GC.IncSliceCount;
   GC.Tel.beginCollection(GcGeneration::Major, Trigger, GC.Stats.NumGC,

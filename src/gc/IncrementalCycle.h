@@ -19,11 +19,11 @@
 /// one-cycle float this retains is collected by the next cycle — the same
 /// trade every SATB collector makes.
 ///
-/// Slices are paced by allocation. The mutator keeps its inline bump path
-/// for the whole cycle, behind the collector's slice fence: the fence sits
-/// at the nursery address of the next slice watermark (null while the
+/// Slices are paced by allocation. Every mutator keeps its bump path for
+/// the whole cycle, behind the collector's slice fence: the fence sits at
+/// the nursery address of the next slice watermark (null while the
 /// large-object leg is due), so the allocation that makes a slice due is
-/// the first to miss the inline path and run it.
+/// the first to miss the bump path and run it — standalone or grouped.
 ///
 /// One IncrementalCycle exists exactly while a cycle is live: constructing
 /// the collector's std::optional starts it, resetting it ends it, and no
@@ -64,12 +64,11 @@ public:
   /// Whether enough allocation has accumulated for the next slice. Two
   /// pacing legs: nursery growth past the watermark, and LOS bytes since
   /// the last slice (an LOS-heavy phase barely grows the nursery, so the
-  /// watermark alone would leave whole cycles nearly sliceless).
+  /// watermark alone would leave whole cycles nearly sliceless). Asked
+  /// only inside allocate(): every mutator has merged, so the nursery's
+  /// frontier is its fill, and in a group the world is stopped.
   bool sliceDue(const Space &Nursery) const {
-    // Relaxed frontier read: in group mode this runs on the TLAB refill
-    // path while peers CAS block grants off the same nursery. The check is
-    // advisory — a stale value shifts the slice by one refill at most.
-    return Nursery.usedBytesRelaxed() >= NextSliceNurseryBytes ||
+    return Nursery.usedBytes() >= NextSliceNurseryBytes ||
            LosBytesSinceSlice >= StrideBytes;
   }
 
@@ -109,7 +108,7 @@ private:
   /// Seeds the engine with the values of every root slot (start and close).
   void seedRoots();
   /// Points the collector's inline fence at the nursery watermark, or at
-  /// null while the LOS leg is due: the inline path is open exactly while
+  /// null while the LOS leg is due: the bump path is open exactly while
   /// sliceDue() is false.
   void setFence();
   bool marked(const Word *P) const;

@@ -40,15 +40,14 @@ public:
   uint64_t liveBytesAfterLastGC() const override { return LiveBytes; }
   bool verifyHeapNow(std::string &Error) const override;
 
-  /// Mutator fast path: everything bump-allocates into the active space.
+  /// Mutator bump path: everything bumps into the active space.
   bool siteAllowsInlineAlloc(uint32_t SiteId) const override {
     (void)SiteId;
     return true;
   }
-  Space *inlineAllocSpace(size_t &MaxBytes) override {
-    MaxBytes = ~size_t{0}; // No large-object space: no size bound.
-    return Active;
-  }
+  Space *inlineAllocSpace() override { return Active; }
+  /// No large-object space: no size bound.
+  size_t inlineAllocMaxBytes() const override { return ~size_t{0}; }
 
 private:
   /// Runs one collection, guaranteeing at least \p NeedBytes of free space

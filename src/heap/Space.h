@@ -121,15 +121,6 @@ public:
   size_t usedBytes() const {
     return static_cast<size_t>(Next - Base) * sizeof(Word);
   }
-  /// usedBytes via a relaxed atomic frontier read — for advisory checks
-  /// made while other threads may be CASing block grants (the pause-budget
-  /// slice-due test on the TLAB refill path). A stale value only shifts a
-  /// slice by one refill.
-  size_t usedBytesRelaxed() const {
-    std::atomic_ref<Word *> ANext(const_cast<Word *&>(Next));
-    return static_cast<size_t>(ANext.load(std::memory_order_relaxed) - Base) *
-           sizeof(Word);
-  }
   size_t freeBytes() const { return capacityBytes() - usedBytes(); }
   bool empty() const { return Next == Base; }
 

@@ -70,6 +70,8 @@ Mutator::Mutator(const MutatorConfig &Config) : Config(Config) {
     break;
   }
   GC = OwnedGC.get();
+  SiteProf = Profiler.get();
+  TlabMaxBytes = GC->inlineAllocMaxBytes();
 }
 
 Mutator::Mutator(Collector &SharedGC, const MutatorConfig &Config)
@@ -77,6 +79,7 @@ Mutator::Mutator(Collector &SharedGC, const MutatorConfig &Config)
   // Attached mutators own no collector, profiler, or trace recorder: the
   // group's primary mutator holds all shared machinery. Per-thread profile
   // scratch (LocalProf) is wired later by attachToGroup.
+  TlabMaxBytes = GC->inlineAllocMaxBytes();
 }
 
 Mutator::~Mutator() {
@@ -85,84 +88,47 @@ Mutator::~Mutator() {
 }
 
 //===----------------------------------------------------------------------===//
-// Multi-mutator mode (see runtime/MutatorGroup.h for the protocol).
+// Allocation and the merge (see the allocation section of Mutator.h).
 //===----------------------------------------------------------------------===//
 
-void Mutator::attachToGroup(MutatorGroup &G, unsigned Idx, bool Profiling,
-                            bool RecordBarrier) {
-  Group = &G;
-  GroupIdx = Idx;
-  RecordLocalBarrier = RecordBarrier;
-  if (Profiling)
-    LocalProf = std::make_unique<HeapProfiler>();
-  SharedBytesAtMerge = GC->stats().BytesAllocated;
-  // Fix the TLAB object-size bound once: for the generational collector
-  // this is the large-object threshold, a construction-time constant.
-  GC->inlineAllocSpace(TlabMaxBytes);
-}
-
-Word *Mutator::allocMulti(ObjectKind Kind, Word Descriptor, uint32_t LenWords,
-                          uint32_t PtrMask, uint32_t Site) {
-  SafepointCoordinator &SP = Group->safepoint();
-  if (TILGC_UNLIKELY(SP.stopRequested()))
-    SP.yield(GroupIdx);
-  if (TILGC_LIKELY(siteAllowsFast(Site) &&
-                   objectTotalBytes(Descriptor) < TlabMaxBytes)) {
-    size_t Need = objectTotalWords(Descriptor);
-    Word *P = TlabNext;
-    if (TILGC_UNLIKELY(!P || Need > static_cast<size_t>(TlabEnd - P)))
-      P = refillTlab(Need);
-    if (TILGC_LIKELY(P != nullptr)) {
-      TlabNext = P + Need;
-      P[0] = Descriptor;
-      // Birth stamp: shared counter as of the last safepoint merge plus
-      // allocation since — monotone per thread, exact in total.
-      P[1] = meta::make(
-          Site, (SharedBytesAtMerge + LocalStats.BytesAllocated) >> 10);
-      uint64_t Bytes = objectTotalBytes(Descriptor);
-      LocalStats.BytesAllocated += Bytes;
-      LocalStats.ObjectsAllocated += 1;
-      if (Kind == ObjectKind::Record)
-        LocalStats.RecordBytesAllocated += Bytes;
-      else
-        LocalStats.ArrayBytesAllocated += Bytes;
-      if (LocalProf)
-        LocalProf->onAlloc(Site, Bytes);
-      std::memset(P + HeaderWords, 0,
-                  static_cast<size_t>(LenWords) * sizeof(Word));
-      return P + HeaderWords;
-    }
-  }
-  // Pretenured site, large object, or nursery exhausted: stop the world
-  // and run the collector's full allocate() (merges first, may collect,
-  // reuses the single-mutator OOM ladder unchanged).
-  return Group->allocateStopped(GroupIdx, Kind, LenWords, PtrMask, Site);
+Word *Mutator::allocSlow(ObjectKind Kind, Word Descriptor, uint32_t LenWords,
+                         uint32_t PtrMask, uint32_t Site) {
+  if (siteAllowsFast(Site) && objectTotalBytes(Descriptor) < TlabMaxBytes)
+    if (Word *P = refillTlab(objectTotalWords(Descriptor)))
+      return bumpTlab(P, Kind, Descriptor, LenWords, Site);
+  // Pretenured site, large object, slice due or space exhausted: the
+  // collector's full allocate() (may run a slice, collect, or climb the
+  // OOM ladder). A group stops the world, which merges every thread.
+  if (Group != nullptr)
+    return Group->allocateStopped(GroupIdx, Kind, LenWords, PtrMask, Site);
+  mergeAtSafepoint();
+  return GC->allocate(Kind, LenWords, PtrMask, Site);
 }
 
 Word *Mutator::refillTlab(size_t NeedWords) {
+  // The cursor sits at or past the slice fence: a slice is due, and the
+  // slow path runs it.
+  if (TlabNext >= GC->inlineFence())
+    return nullptr;
   retireTlab();
-  // Injected refill refusal: the thread behaves exactly as if the nursery
-  // had no block to grant and falls to the stop-the-world slow path — the
+  // Injected refill refusal: the mutator behaves exactly as if the space
+  // had no block to grant and falls to the slow path — the
   // graceful-degradation contract this fault point exists to prove.
   if (TILGC_UNLIKELY(FaultInjector::enabled()) &&
       FaultInjector::global().shouldFire(FaultPoint::TlabRefillFail))
     return nullptr;
-  size_t MaxBytes = 0;
-  Space *S = GC->tlabAllocSpace(MaxBytes);
-  if (TILGC_UNLIKELY(!S))
-    return nullptr;
-  // Pause-budget cycle live: shrink the grant so refills (the group-mode
-  // slice safepoints) come ~8x as often — a full-size grant would quantize
-  // the slice schedule to ~32 checks per nursery epoch and let arbitrarily
-  // much mark debt pile up between them.
-  size_t GrantWords = GC->satbLive() ? TlabWords / 8 : TlabWords;
+  Space *S = GC->inlineAllocSpace();
   Word *Begin = nullptr;
   Word *End = nullptr;
-  if (!S->allocateBlock(NeedWords, std::max(NeedWords, GrantWords), Begin, End))
+  if (!S->allocateBlock(NeedWords, std::max(NeedWords, TlabWords), Begin, End))
     return nullptr;
   TlabSpace = S;
   TlabNext = Begin;
   TlabEnd = End;
+  // In a group, peers may have carved the space past the fence: the slow
+  // path that runs the due slice retires this block again.
+  if (Begin >= GC->inlineFence())
+    return nullptr;
   ++LocalStats.TlabRefills;
   return Begin;
 }
@@ -181,12 +147,58 @@ void Mutator::retireTlab() {
   TlabEnd = nullptr;
 }
 
+void Mutator::mergeAtSafepoint() {
+  retireTlab();
+  for (Word *Slot : LocalSSB)
+    GC->writeBarrier(Slot);
+  LocalSSB.clear();
+  // Pause-budget SATB backlog: replayed before the collector can run a
+  // slice or finish the cycle, so every overwritten snapshot edge is
+  // seeded ahead of any mark advance.
+  for (Word OldBits : LocalSatb)
+    GC->satbRecord(OldBits);
+  LocalSatb.clear();
+  GcStats &S = GC->stats();
+  S.BytesAllocated += LocalStats.BytesAllocated;
+  S.ObjectsAllocated += LocalStats.ObjectsAllocated;
+  S.RecordBytesAllocated += LocalStats.RecordBytesAllocated;
+  S.ArrayBytesAllocated += LocalStats.ArrayBytesAllocated;
+  S.TlabRefills += LocalStats.TlabRefills;
+  S.TlabPadBytes += LocalStats.TlabPadBytes;
+  LocalStats = LocalAlloc{};
+  if (LocalProf) {
+    Group->profiler()->mergeFrom(*LocalProf);
+    LocalProf->reset();
+  }
+}
+
 void Mutator::collect(bool Major) {
   if (TILGC_UNLIKELY(Group != nullptr)) {
     Group->collectStopped(GroupIdx, Major);
     return;
   }
+  mergeAtSafepoint();
   GC->collect(Major);
+}
+
+//===----------------------------------------------------------------------===//
+// Multi-mutator mode (see runtime/MutatorGroup.h for the protocol).
+//===----------------------------------------------------------------------===//
+
+void Mutator::attachToGroup(MutatorGroup &G, unsigned Idx, bool Profiling,
+                            bool RecordBarrier) {
+  Group = &G;
+  GroupIdx = Idx;
+  RecordLocalBarrier = RecordBarrier;
+  if (Profiling)
+    LocalProf = std::make_unique<HeapProfiler>();
+  SiteProf = LocalProf.get();
+}
+
+void Mutator::pollSafepoint() {
+  SafepointCoordinator &SP = Group->safepoint();
+  if (TILGC_UNLIKELY(SP.stopRequested()))
+    SP.yield(GroupIdx);
 }
 
 void Mutator::runStub(size_t Base) {

@@ -116,10 +116,10 @@ class MutatorGroup;
 ///
 /// In the multi-mutator runtime (runtime/MutatorGroup.h) several Mutators
 /// share one collector: the group's primary mutator owns it, attached
-/// mutators reference it, and every member allocates through a per-thread
-/// TLAB with a safepoint poll instead of the single-mutator fast path. A
-/// Mutator that was never attached to a group behaves bit-identically to
-/// the pre-group runtime.
+/// mutators reference it. Every Mutator, standalone or grouped, allocates
+/// through the same thread-local bump path; a group member adds a
+/// safepoint poll to it, buffers its barrier records, and reaches the
+/// collector only with the world stopped.
 ///
 /// Cache-line aligned: a group's threads each write their own Mutator on
 /// every allocation and pointer store, so no Mutator may share a line with
@@ -143,16 +143,17 @@ public:
   // Allocation. Every entry point may collect; re-read pointers from frame
   // slots afterwards. Payloads are zeroed.
   //
-  // Entry points go through a bump-pointer fast path: the collector
-  // designates a space (the nursery / the active semispace) and a size
-  // bound once, the mutator caches them and allocates inline until a
-  // collection invalidates the cache (stats().NumGC is the epoch). Sites
-  // the collector routes elsewhere (pretenured), objects over the bound
-  // (large arrays) and bumps from a frontier at or past the collector's
-  // slice fence (a pause-budget mark slice is due) fall through to the
-  // collector's full allocate(), as does any bump failure — so the slow
-  // path's semantics are preserved exactly; the fast path only skips the
-  // virtual dispatch and the per-call placement re-derivation.
+  // One bump path for every mutator, standalone or grouped. Objects are
+  // bumped into a thread-local allocation buffer (TLAB): a block carved
+  // from the collector's inline-allocation space (the nursery / the active
+  // semispace), with allocation counters and profile samples kept locally.
+  // An object is bumped when its site is not routed elsewhere (pretenured),
+  // it is under the size bound (large arrays are not), it starts below the
+  // collector's slice fence (past it a pause-budget mark slice is due) and
+  // it fits in the block; a full block is refilled. Anything else folds
+  // the local state into the collector (mergeAtSafepoint) and runs the
+  // collector's full allocate(), so the slow path's semantics are exactly
+  // the collector's.
   //===--------------------------------------------------------------------===
 
   /// A record of \p NumFields fields; bit i of \p PtrMask marks field i as
@@ -314,12 +315,19 @@ public:
   /// Runs the collector's heap verifier on demand (any build mode). Returns
   /// false and fills \p Error on the first violation — the torture driver's
   /// "the heap is never corrupt, even after a structured failure" check.
-  bool verifyHeap(std::string &Error) const {
+  bool verifyHeap(std::string &Error) {
+    if (Group == nullptr) // a group merges its members at every stop
+      mergeAtSafepoint();
     return GC->verifyHeapNow(Error);
   }
 
-  GcStats &gcStats() { return GC->stats(); }
-  const GcStats &gcStats() const { return GC->stats(); }
+  /// The collector's totals with this mutator's local allocation folded
+  /// in (a group folds its members' at every stop and after run()).
+  GcStats &gcStats() {
+    if (Group == nullptr)
+      mergeAtSafepoint();
+    return GC->stats();
+  }
   Collector &collector() { return *GC; }
   GcTelemetry &telemetry() { return GC->telemetry(); }
   const GcTelemetry &telemetry() const { return GC->telemetry(); }
@@ -374,28 +382,47 @@ private:
   /// The allocation fast path (see the allocation section comment).
   Word *allocImpl(ObjectKind Kind, uint32_t LenWords, uint32_t PtrMask,
                   uint32_t Site) {
-    Word Descriptor = header::make(Kind, LenWords, PtrMask);
     if (TILGC_UNLIKELY(Group != nullptr))
-      return allocMulti(Kind, Descriptor, LenWords, PtrMask, Site);
-    if (TILGC_LIKELY(siteAllowsFast(Site))) {
-      if (TILGC_UNLIKELY(GC->stats().NumGC != FastEpoch)) {
-        FastSpace = GC->inlineAllocSpace(FastMaxBytes);
-        FastEpoch = GC->stats().NumGC;
-      }
-      if (TILGC_LIKELY(FastSpace &&
-                       objectTotalBytes(Descriptor) < FastMaxBytes &&
-                       FastSpace->frontier() < GC->inlineFence())) {
-        Word *Payload = FastSpace->allocate(Descriptor, GC->objectMeta(Site));
-        if (TILGC_LIKELY(Payload != nullptr)) {
-          GC->noteAllocated(Kind, Descriptor, Site);
-          std::memset(Payload, 0,
-                      static_cast<size_t>(LenWords) * sizeof(Word));
-          return Payload;
-        }
-      }
-    }
-    return GC->allocate(Kind, LenWords, PtrMask, Site);
+      pollSafepoint();
+    Word Descriptor = header::make(Kind, LenWords, PtrMask);
+    Word *P = TlabNext;
+    if (TILGC_LIKELY(objectTotalWords(Descriptor) <=
+                         static_cast<size_t>(TlabEnd - P) &&
+                     P < GC->inlineFence() && siteAllowsFast(Site) &&
+                     objectTotalBytes(Descriptor) < TlabMaxBytes))
+      return bumpTlab(P, Kind, Descriptor, LenWords, Site);
+    return allocSlow(Kind, Descriptor, LenWords, PtrMask, Site);
   }
+
+  /// Places an object at \p P, the TLAB's cursor: header, birth stamp,
+  /// local counters and profile sample, zeroed payload.
+  Word *bumpTlab(Word *P, ObjectKind Kind, Word Descriptor,
+                 uint32_t LenWords, uint32_t Site) {
+    uint64_t Bytes = objectTotalBytes(Descriptor);
+    TlabNext = P + objectTotalWords(Descriptor);
+    P[0] = Descriptor;
+    // Birth stamp: the shared counter moves only inside the collector,
+    // which every mutator enters after a merge, so the counter plus the
+    // local bytes since is the allocation total — exact for one mutator,
+    // monotone per thread in a group.
+    P[1] = meta::make(
+        Site, (GC->stats().BytesAllocated + LocalStats.BytesAllocated) >> 10);
+    LocalStats.BytesAllocated += Bytes;
+    LocalStats.ObjectsAllocated += 1;
+    if (Kind == ObjectKind::Record)
+      LocalStats.RecordBytesAllocated += Bytes;
+    else
+      LocalStats.ArrayBytesAllocated += Bytes;
+    if (SiteProf)
+      SiteProf->onAlloc(Site, Bytes);
+    std::memset(P + HeaderWords, 0,
+                static_cast<size_t>(LenWords) * sizeof(Word));
+    return P + HeaderWords;
+  }
+
+  /// allocImpl's miss: a TLAB refill, else the collector's allocate().
+  Word *allocSlow(ObjectKind Kind, Word Descriptor, uint32_t LenWords,
+                  uint32_t PtrMask, uint32_t Site);
 
   /// Per-site fast-path admission, memoized (0 = unknown, 1 = fast,
   /// 2 = slow). The collector's answer is fixed for its lifetime —
@@ -409,28 +436,35 @@ private:
     return F == 1;
   }
 
-  //===--------------------------------------------------------------------===
-  // Multi-mutator mode (runtime/MutatorGroup.h). All of this is inert —
-  // Group stays null, one branch-not-taken on the allocation and barrier
-  // paths — unless MutatorGroup attached this mutator.
-  //===--------------------------------------------------------------------===
-
-  friend class MutatorGroup;
-
-  /// The multi-mutator allocation path: safepoint poll, then TLAB bump,
-  /// then a stop-the-world slow path through the group.
-  Word *allocMulti(ObjectKind Kind, Word Descriptor, uint32_t LenWords,
-                   uint32_t PtrMask, uint32_t Site);
-
   /// Retires the current TLAB (if any) and grabs a fresh block of at least
   /// \p NeedWords from the collector's inline-allocation space. Returns the
-  /// block start, or null if no space/block is available (caller falls to
-  /// the stop-the-world slow path).
+  /// block start, or null if no block is available or the block would
+  /// start at or past the slice fence (the caller takes the slow path).
   Word *refillTlab(size_t NeedWords);
 
   /// Returns the unused TLAB tail to the space if it is still the last
   /// grant, else plugs it with a Pad so heap walks stay valid.
   void retireTlab();
+
+  /// Folds this mutator's local state into the collector: retires the
+  /// TLAB (the space is linearly walkable again), replays the buffered
+  /// barrier records, adds the local counters and profile samples to the
+  /// shared totals. Runs before every entry into the collector: a
+  /// standalone mutator calls it itself, a group calls it for every thread
+  /// (thread-index order) inside each stop.
+  void mergeAtSafepoint();
+
+  //===--------------------------------------------------------------------===
+  // Multi-mutator mode (runtime/MutatorGroup.h): Group stays null, one
+  // branch-not-taken on the allocation and barrier paths, unless
+  // MutatorGroup attached this mutator.
+  //===--------------------------------------------------------------------===
+
+  friend class MutatorGroup;
+
+  /// The group's safepoint poll on every allocation: parks while another
+  /// thread stops the world.
+  void pollSafepoint();
 
   /// Wires this mutator into \p G as thread \p Idx (called by MutatorGroup
   /// once, with the world quiescent).
@@ -438,7 +472,8 @@ private:
                      bool RecordBarrier);
 
   /// Thread-local allocation statistics, folded into the shared GcStats at
-  /// each safepoint merge (thread-index order, so totals are deterministic).
+  /// each merge (thread-index order in a group, so totals are
+  /// deterministic).
   struct LocalAlloc {
     uint64_t BytesAllocated = 0;
     uint64_t ObjectsAllocated = 0;
@@ -450,30 +485,32 @@ private:
 
   MutatorGroup *Group = nullptr;
   unsigned GroupIdx = 0;
-  /// Generational collectors need barrier records; semispace has none.
+  /// Group members buffer barrier records (generational collectors need
+  /// them; semispace has none). A standalone mutator calls the barrier.
   bool RecordLocalBarrier = false;
   Word *TlabNext = nullptr;
   Word *TlabEnd = nullptr;
   Space *TlabSpace = nullptr;
-  /// Size bound from inlineAllocSpace at attach time; objects at or over it
-  /// (large objects) always take the stop-the-world slow path.
+  /// The collector's size bound for the bump path; objects at or over it
+  /// (large objects) take the slow path.
   size_t TlabMaxBytes = 0;
-  /// Thread-local store buffer: pointer-store slots recorded here and
-  /// replayed through the collector's real write barrier at safepoints.
+  /// Thread-local store buffer (group members): pointer-store slots
+  /// recorded here and replayed through the collector's real write barrier
+  /// at the next merge.
   std::vector<Word *> LocalSSB;
-  /// Thread-local SATB buffer (pause-budget mode): overwritten pointer
-  /// values captured while an incremental mark is live, replayed through
-  /// Collector::satbRecord at the next safepoint merge — before any
+  /// Thread-local SATB buffer (group members, pause-budget mode):
+  /// overwritten pointer values captured while an incremental mark is live,
+  /// replayed through Collector::satbRecord at the next merge — before any
   /// collection work moves objects or advances the mark.
   std::vector<Word> LocalSatb;
   LocalAlloc LocalStats;
-  /// Shared-counter snapshot from the last safepoint merge; birth stamps in
-  /// TLAB allocations are (SharedBytesAtMerge + local bytes) >> 10, which
-  /// matches the serial stamp stream up to inter-thread interleaving.
-  uint64_t SharedBytesAtMerge = 0;
-  /// Per-thread profiler scratch, merged into the shared profiler at
-  /// safepoints (same scheme as the parallel evacuator's workers).
+  /// Per-thread profiler scratch (group members), merged into the shared
+  /// profiler at each merge (same scheme as the parallel evacuator's
+  /// workers).
   std::unique_ptr<HeapProfiler> LocalProf;
+  /// Where the bump records profile samples: the shared profiler for a
+  /// standalone mutator, LocalProf in a group, null without profiling.
+  HeapProfiler *SiteProf = nullptr;
 
   /// TLAB grant size: 2048 words = 16 KB, 1/32 of the default nursery.
   static constexpr size_t TlabWords = 2048;
@@ -505,12 +542,6 @@ private:
   uint64_t NextHandlerId = 0;
   uint64_t NumPointerUpdates = 0;
   uint64_t NumRaises = 0;
-
-  /// Allocation fast-path cache (invalidated by epoch: every collection
-  /// bumps stats().NumGC, and spaces only change at collections).
-  Space *FastSpace = nullptr;
-  size_t FastMaxBytes = 0;
-  uint64_t FastEpoch = ~uint64_t{0};
   std::vector<uint8_t> SiteFastFlag;
 };
 

@@ -103,41 +103,13 @@ void MutatorGroup::beginStopBookkeeping() {
 }
 
 void MutatorGroup::endStopBookkeeping() {
-  uint64_t SharedBytes = gcStats().BytesAllocated;
-  for (std::unique_ptr<Mutator> &M : Muts)
-    M->SharedBytesAtMerge = SharedBytes;
   collector().telemetry().clearPendingSafepoint();
 }
 
 void MutatorGroup::mergeAtSafepoint() {
-  Collector &C = collector();
-  GcStats &S = C.stats();
-  HeapProfiler *Shared = Muts[0]->profiler();
   // Thread-index order makes every merged quantity deterministic: totals,
   // site profiles, and anything derived from them (pretenure sets) come
   // out identical run to run and identical to a serial execution.
-  for (std::unique_ptr<Mutator> &MP : Muts) {
-    Mutator &M = *MP;
-    M.retireTlab();
-    for (Word *Slot : M.LocalSSB)
-      C.writeBarrier(Slot);
-    M.LocalSSB.clear();
-    // Pause-budget SATB backlog: replayed with the world stopped, before
-    // the stopped operation can run a slice or finish the cycle — so every
-    // overwritten snapshot edge is seeded ahead of any mark advance.
-    for (Word OldBits : M.LocalSatb)
-      C.satbRecord(OldBits);
-    M.LocalSatb.clear();
-    S.BytesAllocated += M.LocalStats.BytesAllocated;
-    S.ObjectsAllocated += M.LocalStats.ObjectsAllocated;
-    S.RecordBytesAllocated += M.LocalStats.RecordBytesAllocated;
-    S.ArrayBytesAllocated += M.LocalStats.ArrayBytesAllocated;
-    S.TlabRefills += M.LocalStats.TlabRefills;
-    S.TlabPadBytes += M.LocalStats.TlabPadBytes;
-    M.LocalStats = Mutator::LocalAlloc{};
-    if (Shared && M.LocalProf) {
-      Shared->mergeFrom(*M.LocalProf);
-      M.LocalProf->reset();
-    }
-  }
+  for (std::unique_ptr<Mutator> &M : Muts)
+    M->mergeAtSafepoint();
 }

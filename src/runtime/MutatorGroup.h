@@ -16,20 +16,19 @@
 ///    stack, register file and, with stack markers, the stack's own
 ///    marker manager and scan cache) are registered behind the primary's
 ///    so every collection scans all N stacks.
-///  * Every member is then switched into group mode: allocation goes
-///    through a per-thread TLAB (a block grant from the collector's
-///    inline-allocation space) with a safepoint poll; pointer-store
-///    barrier records buffer in a per-thread store buffer; allocation
-///    statistics and profile samples accumulate in per-thread scratch.
+///  * Every member is then switched into group mode: its allocation path
+///    (the same per-thread TLAB bump every Mutator uses) gains a safepoint
+///    poll; pointer-store barrier records buffer in a per-thread store
+///    buffer; profile samples accumulate in per-thread scratch.
 ///
 /// Any slow-path allocation or explicit collection stops the world via
 /// SafepointCoordinator, then — with every other thread parked — merges
-/// all per-thread state in thread-index order (TLAB retirement, barrier
-/// replay through the collector's real write barrier, statistics fold,
-/// profile merge) before running the collector operation. The merge order
-/// is deterministic, so totals, site profiles, and derived pretenure sets
-/// match a serial run exactly; only the interleaving of per-thread
-/// allocation into birth stamps varies.
+/// all per-thread state in thread-index order (Mutator::mergeAtSafepoint:
+/// TLAB retirement, barrier replay through the collector's real write
+/// barrier, statistics fold, profile merge) before running the collector
+/// operation. The merge order is deterministic, so totals, site profiles,
+/// and derived pretenure sets match a serial run exactly; only the
+/// interleaving of per-thread allocation into birth stamps varies.
 ///
 /// Stack markers work for any N: each stack keeps its own markers and
 /// scan cache, so the §5 reuse boundary is computed per stack (DESIGN.md
@@ -94,10 +93,10 @@ private:
   /// the collector's event plane, and merge all per-thread state so the
   /// collector sees a coherent heap and exact totals.
   void beginStopBookkeeping();
-  /// Last thing inside a stop (runs even if the operation threw): refresh
-  /// every thread's shared-counter snapshot; drop the pending safepoint
-  /// record if no collection consumed it.
+  /// Last thing inside a stop (runs even if the operation threw): drop the
+  /// pending safepoint record if no collection consumed it.
   void endStopBookkeeping();
+  /// Mutator::mergeAtSafepoint for every thread, in thread-index order.
   void mergeAtSafepoint();
 
   struct EndGuard {

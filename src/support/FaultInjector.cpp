@@ -54,9 +54,11 @@ void FaultInjector::reset() {
 
 bool FaultInjector::shouldFire(FaultPoint P) {
   // Mutator-path alloc faults must not perturb (or be perturbed by)
-  // collection-internal allocation; see ScopedGcPhase.
-  if (P == FaultPoint::SpaceAllocNull &&
-      GcDepth.load(std::memory_order_relaxed) > 0)
+  // collection-internal allocation, nor evacuation handout faults by the
+  // mutators' TLAB refills; see ScopedGcPhase.
+  bool InGc = GcDepth.load(std::memory_order_relaxed) > 0;
+  if ((P == FaultPoint::SpaceAllocNull && InGc) ||
+      (P == FaultPoint::SpaceBlockHandout && !InGc))
     return false;
 
   Point &Pt = Points[index(P)];

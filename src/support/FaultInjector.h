@@ -40,7 +40,9 @@ enum class FaultPoint : unsigned {
   /// via SpaceBlockHandout instead.
   SpaceAllocNull,
   /// Space::allocateBlock refuses the handout, starving a parallel
-  /// evacuation worker of copy space.
+  /// evacuation worker of copy space. Counted only while a collection is in
+  /// progress (ScopedGcPhase): a mutator's TLAB refill refusal is
+  /// TlabRefillFail.
   SpaceBlockHandout,
   /// A parallel evacuation worker sleeps mid-drain, skewing the
   /// termination protocol's timing.
@@ -117,7 +119,8 @@ public:
 
   /// Counts a crossing of \p P and reports whether the fault fires there.
   /// Only call behind enabled(); crossings of SpaceAllocNull inside a
-  /// collection phase neither count nor fire.
+  /// collection phase, and of SpaceBlockHandout outside one, neither count
+  /// nor fire.
   bool shouldFire(FaultPoint P);
 
   /// Dynamic crossings counted while armed (diagnostics / tests).

@@ -124,13 +124,18 @@ TEST(FaultInjector, DisarmedInjectorCountsNothing) {
 TEST(FaultInjection, AllocNullDrivesEscalationLadderToSameChecksum) {
   uint64_t Expected = findWorkload("Life")->expected(0.12);
   ScopedFaults Guard;
-  // Fail three consecutive mutator allocations somewhere in the run: each
-  // forces an early collection; the ladder retries and the program must
-  // not observe any of it.
-  FaultInjector::global().arm(FaultPoint::SpaceAllocNull, 5000,
-                              /*FireCount=*/3);
+  // The mutator bumps into TLABs, so only the collector's allocate()
+  // crosses the nursery's Space::allocate. Refuse the second TLAB refill
+  // (before the first minor collection) so an allocation reaches
+  // allocate(), and fail its first two nursery attempts there: one forces
+  // an early minor, the next an early major; the ladder retries and the
+  // program must not observe any of it.
+  FaultInjector::global().arm(FaultPoint::TlabRefillFail, 2);
+  FaultInjector::global().arm(FaultPoint::SpaceAllocNull, 1,
+                              /*FireCount=*/2);
   uint64_t Sum = runLife(faultConfig("life-allocnull", 1));
   EXPECT_EQ(Sum, Expected);
+  EXPECT_GE(FaultInjector::global().fired(FaultPoint::TlabRefillFail), 1u);
   EXPECT_GE(FaultInjector::global().fired(FaultPoint::SpaceAllocNull), 1u);
 }
 
@@ -250,10 +255,10 @@ TEST(FaultInjectionDeath, PersistentBlockStarvationDiesInRecovery) {
 ///
 /// The matrix spans every post-PR-3 subsystem: both major engines
 /// (semispace and mark-compact, so MarkPlanThrow exercises the failover
-/// path), K ∈ {1, 2, 8} mutators through the real MutatorGroup runtime
-/// (so TlabRefillFail and SafepointNoShow hit live TLAB refills and
-/// rendezvous), all three barrier families (so CardSweepThrow hits real
-/// dirty-card sweeps), and HostGrowFail under every reservation.
+/// path), K ∈ {1, 2, 8} mutators (K > 1 through the real MutatorGroup
+/// runtime, so SafepointNoShow hits live rendezvous; TlabRefillFail hits
+/// every K's TLAB refills), all three barrier families (so CardSweepThrow
+/// hits real dirty-card sweeps), and HostGrowFail under every reservation.
 class ResilienceTorture : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ResilienceTorture, CompletesOrFailsStructurally) {
@@ -267,14 +272,19 @@ TEST_P(ResilienceTorture, CompletesOrFailsStructurally) {
   FaultInjector &FI = FaultInjector::global();
   unsigned Threads = (Seed >> 2) % 3 == 0 ? 1 : ((Seed >> 2) % 3 == 1 ? 2 : 8);
   bool MarkCompact = (Seed >> 5) & 1;
-  FI.armFromSeed(FaultPoint::SpaceAllocNull, Seed, 20000, 2);
+  // Every mutator allocates through TLABs, so the nursery's
+  // Space::allocate is crossed only in the collector's allocate(), about
+  // once per collection (20-70 times a run here): draw from the first 20.
+  FI.armFromSeed(FaultPoint::SpaceAllocNull, Seed, 20, 2);
+  // A refused refill degrades to the collector's allocate() (stopped, in
+  // a group). Handout refusals hit parallel evacuation workers only; zero
+  // crossings at one GC thread.
+  FI.armFromSeed(FaultPoint::TlabRefillFail, Seed, 100, 2);
+  FI.armFromSeed(FaultPoint::SpaceBlockHandout, Seed, 200, 1);
   if (Threads > 1) {
     FI.armFromSeed(FaultPoint::WorkerThrow, Seed, 500, 1);
-    FI.armFromSeed(FaultPoint::SpaceBlockHandout, Seed, 200, 1);
-    // Multi-mutator runtime points: a refused TLAB handout degrades to the
-    // stopped-allocation slow path; a no-show skips one park poll (bounded
-    // FireCount so the rendezvous still completes).
-    FI.armFromSeed(FaultPoint::TlabRefillFail, Seed, 100, 2);
+    // A no-show skips one park poll (bounded FireCount so the rendezvous
+    // still completes).
     FI.armFromSeed(FaultPoint::SafepointNoShow, Seed, 50, 1);
   }
   if (MarkCompact)

@@ -293,13 +293,49 @@ TEST(MultiMutatorTlab, RefillsPadsAndExactTotals) {
   EXPECT_TRUE(G.mutator(0).verifyHeap(Err)) << Err;
 }
 
+/// What a pause budget's slice schedule can move: the slices themselves
+/// and every collection total downstream of them.
+static std::vector<uint64_t> budgetTotals(Collector &C) {
+  const GcStats &S = C.stats();
+  return {static_cast<GenerationalCollector &>(C).incrementalSlices(),
+          S.NumGC,
+          S.NumMajorGC,
+          S.BytesCopied,
+          S.ObjectsCopied,
+          S.MajorBytesMoved,
+          S.MaxFootprintBytes};
+}
+
 TEST(MultiMutatorTlab, SingleMutatorGroupKeepsSerialTotals) {
-  // K=1 still runs the TLAB/safepoint machinery; totals must match a plain
-  // serial mutator exactly.
+  // K=1 still runs the safepoint poll, the buffered barriers and the
+  // stopped slow path; totals must match a plain serial mutator exactly.
   const double Scale = 0.08;
   MutatorConfig C = groupConfig("mm-k1", CollectorKind::Generational);
   SerialBaseline S = serialBaseline("Checksum", C, Scale);
   runDifferential("Checksum", C, 1, Scale, S);
+
+  // Under a pause budget the slice fence paces both runtimes alike, so a
+  // group of one runs the serial slice schedule and every collection
+  // after it.
+  MutatorConfig B = groupConfig("mm-k1-budget", CollectorKind::Generational);
+  B.Barrier = GenerationalCollector::BarrierKind::CardMarking;
+  B.MajorGc = GenerationalCollector::MajorGcKind::MarkCompact;
+  B.MaxPauseMicros = 150;
+  for (const char *Name : {"Knuth-Bendix", "PIA"}) {
+    std::unique_ptr<Workload> W = makeWorkloadByName(Name);
+    Mutator M(B);
+    EXPECT_EQ(W->run(M, 0.1), W->expected(0.1)) << Name;
+    std::vector<uint64_t> Serial = budgetTotals(M.collector());
+    EXPECT_GT(Serial[0], 0u) << Name << " ran no slices";
+
+    MutatorGroup G(B, 1);
+    uint64_t Sum = 0;
+    G.run([&](Mutator &GM, unsigned) { Sum = W->run(GM, 0.1); });
+    EXPECT_EQ(Sum, W->expected(0.1)) << Name;
+    EXPECT_EQ(budgetTotals(G.collector()), Serial)
+        << Name << ": slices, GCs, majors, bytes and objects copied, major "
+        << "bytes moved, peak footprint";
+  }
 }
 
 TEST(MultiMutatorTlab, SingleMutatorGroupWithStackMarkers) {

@@ -291,9 +291,10 @@ TEST(GcTelemetryUnit, ArmedEventCarriesPhasesWithinPause) {
   EXPECT_EQ(E.Gen, GcGeneration::Major);
   EXPECT_EQ(E.Trigger, GcTrigger::SpaceFull);
   EXPECT_GT(E.PauseNs, 0u);
-  EXPECT_GT(E.PhaseDurNs[unsigned(GcPhase::StackScan)], 0u);
-  EXPECT_GT(E.PhaseDurNs[unsigned(GcPhase::Copy)],
-            E.PhaseDurNs[unsigned(GcPhase::StackScan)]);
+  // Each phase holds at least its own spins (same clock). Comparing two
+  // phases instead would let a preempted StackScan outgrow Copy.
+  EXPECT_GE(E.PhaseDurNs[unsigned(GcPhase::StackScan)], 100000u);
+  EXPECT_GE(E.PhaseDurNs[unsigned(GcPhase::Copy)], 200000u);
   EXPECT_LE(E.phaseTotalNs(), E.PauseNs);
   // Phase scopes outside a collection are no-ops, not corruption.
   {

@@ -398,9 +398,19 @@ const Word *fenceAt(const GenerationalCollector &GC, size_t WatermarkBytes) {
          (WatermarkBytes + sizeof(Word) - 1) / sizeof(Word);
 }
 
-/// Collections so far other than mark slices (which bump NumGC too).
+/// Collections so far other than mark slices (which bump NumGC too). Read
+/// from the collector: Mutator::gcStats() would merge the mutator, retiring
+/// the TLAB whose bump these tests exercise.
 uint64_t collections(Mutator &M) {
-  return M.gcStats().NumGC - genGC(M).incrementalSlices();
+  return M.collector().stats().NumGC - genGC(M).incrementalSlices();
+}
+
+/// The nursery fill the allocation of \p Obj saw: where its header
+/// landed. The space's own frontier is the end of the mutator's TLAB.
+size_t fillBefore(const GenerationalCollector &GC, Value Obj) {
+  return static_cast<size_t>(Obj.asPtr() - HeaderWords -
+                             GC.nursery().baseAddr()) *
+         sizeof(Word);
 }
 
 } // namespace
@@ -420,10 +430,8 @@ TEST(PauseBudgetAccounting, InlineFenceRunsEachSliceAtItsWatermark) {
   // the fill before the slicing allocation plus one stride.
   const size_t Stride = strideBytes(GC);
   size_t Watermark = 0;
-  for (uint64_t S0 = GC.incrementalSlices(); GC.incrementalSlices() == S0;) {
-    Watermark = GC.nursery().usedBytes() + Stride;
-    consInt(M, sitePb(), 0, slot(F, 2));
-  }
+  for (uint64_t S0 = GC.incrementalSlices(); GC.incrementalSlices() == S0;)
+    Watermark = fillBefore(GC, consInt(M, sitePb(), 0, slot(F, 2))) + Stride;
   ASSERT_EQ(GC.incrementalSlices(), 1u);
 
   // Every later allocation: a slice runs exactly when it starts at or past
@@ -433,11 +441,11 @@ TEST(PauseBudgetAccounting, InlineFenceRunsEachSliceAtItsWatermark) {
   unsigned Checked = 0;
   for (;;) {
     ASSERT_EQ(M.collector().inlineFence(), fenceAt(GC, Watermark));
-    size_t Used = GC.nursery().usedBytes();
     uint64_t Before = GC.incrementalSlices();
-    consInt(M, sitePb(), 0, slot(F, 2));
+    Value Cell = consInt(M, sitePb(), 0, slot(F, 2));
     if (collections(M) != Collections)
       break;
+    size_t Used = fillBefore(GC, Cell);
     uint64_t Ran = GC.incrementalSlices() - Before;
     ASSERT_EQ(Ran, Used >= Watermark ? 1u : 0u)
         << "fill " << Used << " B, watermark " << Watermark << " B";
@@ -470,11 +478,10 @@ TEST(PauseBudgetAccounting, InlineFenceRunsEachSliceAtItsWatermark) {
 }
 
 TEST(PauseBudgetAccounting, LargeObjectCycleSlicesOneStrideAfterOpening) {
-  // A cycle opened by large-object pressure starts between collections,
-  // so the mutator's fast-path epoch does not change; the fence still
-  // holds its first slice to one stride of nursery allocation. Large
-  // objects here are smaller than a stride, so the opening one leaves the
-  // LOS leg idle.
+  // A cycle opened by large-object pressure starts between collections;
+  // the fence still holds its first slice to one stride of nursery
+  // allocation. Large objects here are smaller than a stride, so the
+  // opening one leaves the LOS leg idle.
   MutatorConfig C = budgetConfig(/*MaxPauseMicros=*/200);
   C.LargeObjectThresholdBytes = 1024;
   Mutator M(C);
@@ -483,7 +490,7 @@ TEST(PauseBudgetAccounting, LargeObjectCycleSlicesOneStrideAfterOpening) {
   const size_t Stride = strideBytes(GC);
   constexpr uint32_t ArrayWords = 128; // 1,040 bytes with its header
   ASSERT_LT((ArrayWords + HeaderWords) * sizeof(Word), Stride);
-  // One small allocation first, so the fast path is cached for this epoch.
+  // One small allocation first, so the mutator holds a TLAB.
   F.set(1, consInt(M, sitePb(), -1, slot(F, 1)));
   for (int I = 0; !GC.incrementalCycleLive() && I < 10000; ++I)
     M.allocNonPtrArray(sitePb(), ArrayWords);
@@ -492,8 +499,7 @@ TEST(PauseBudgetAccounting, LargeObjectCycleSlicesOneStrideAfterOpening) {
   const size_t Watermark = GC.nursery().usedBytes() + Stride;
   EXPECT_EQ(M.collector().inlineFence(), fenceAt(GC, Watermark));
   for (int I = 0; I < 100000 && GC.incrementalSlices() == 0; ++I) {
-    size_t Used = GC.nursery().usedBytes();
-    consInt(M, sitePb(), I, slot(F, 1));
+    size_t Used = fillBefore(GC, consInt(M, sitePb(), I, slot(F, 1)));
     ASSERT_EQ(GC.incrementalSlices(), Used >= Watermark ? 1u : 0u)
         << "fill " << Used << " B, watermark " << Watermark << " B";
   }
