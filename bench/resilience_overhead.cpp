@@ -51,8 +51,7 @@ MutatorConfig config(unsigned VerifyLevel) {
 /// The allocation fast path with the injector disarmed — the common case
 /// every production allocation pays. Must match micro_gc's
 /// BM_AllocRecordGenerational: the only new instructions are one relaxed
-/// load + predicted-untaken branch per Space block handout, not per
-/// allocation.
+/// load + predicted-untaken branch per TLAB refill, not per allocation.
 void BM_AllocDisarmedInjector(benchmark::State &State) {
   FaultInjector::global().reset();
   Mutator M(config(0));

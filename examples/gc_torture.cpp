@@ -8,12 +8,15 @@
 //
 // Usage:
 //   gc_torture [semispace|generational] [--markers] [--pretenure]
-//              [--cards] [--aged=N] [--budget=BYTES] [--scale=S]
-//              [--threads=N] [--mutators=N]
+//              [--cards] [--compact] [--aged=N] [--budget=BYTES]
+//              [--scale=S] [--threads=N] [--mutators=N]
 //
-// --threads controls parallel GC workers; --mutators runs each workload
-// on N concurrent mutator threads sharing one heap (TLABs + safepoints),
-// with every thread's checksum validated independently.
+// --compact runs generational majors on the region mark-compact engine;
+// --threads sets the GC workers that run its mark and fixup and the
+// striped card sweep (evacuation is serial, so the semispace collector
+// ignores it); --mutators runs each workload on N concurrent mutator
+// threads sharing one heap (TLABs + safepoints), with every thread's
+// checksum validated independently.
 //
 // Set TILGC_TRACE_OUT=<path> to write a chrome://tracing JSON of the last
 // workload's collections (each run overwrites the file).
@@ -48,6 +51,8 @@ int main(int Argc, char **Argv) {
       C.UseStackMarkers = true;
     else if (!std::strcmp(A, "--cards"))
       C.Barrier = GenerationalCollector::BarrierKind::CardMarking;
+    else if (!std::strcmp(A, "--compact"))
+      C.MajorGc = GenerationalCollector::MajorGcKind::MarkCompact;
     else if (!std::strcmp(A, "--pretenure"))
       Pretenure = true;
     else if (!std::strncmp(A, "--aged=", 7))

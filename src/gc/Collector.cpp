@@ -7,14 +7,12 @@
 #include "gc/Collector.h"
 
 #include "gc/HeapError.h"
-#include "gc/ParallelEvacuator.h"
 #include "profile/AllocSite.h"
 #include "support/FaultInjector.h"
 #include "support/Table.h"
 #include "support/WorkerPool.h"
 
 #include <algorithm>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -66,63 +64,28 @@ void Collector::scanRoots() {
   }
 }
 
-template <typename EngineT>
-uint64_t Collector::runEvacuation(EngineT &E, RootSpans Spans) {
-  constexpr bool Parallel = std::is_same_v<EngineT, ParallelEvacuator>;
+uint64_t Collector::evacuate(const Evacuator::Config &C, RootSpans Spans) {
+  Evacuator E(C);
   {
     TimerScope T(Stats.StackTime);
     GcTelemetry::PhaseScope PS(Tel, GcPhase::RootHandoff);
-    for (const std::vector<Word *> *Span : Spans) {
-      if (!Span)
-        continue;
-      if constexpr (Parallel)
-        E.addRootSpan(Span->data(), Span->size());
-      else
+    for (const std::vector<Word *> *Span : Spans)
+      if (Span)
         E.forwardRootSpan(Span->data(), Span->size());
-    }
   }
   {
     TimerScope T(Stats.CopyTime);
     GcTelemetry::PhaseScope PS(Tel, GcPhase::Copy);
-    if constexpr (Parallel)
-      E.run();
-    else
-      E.drain();
+    E.drain();
   }
   Stats.BytesCopied += E.bytesCopied();
   Stats.ObjectsCopied += E.objectsCopied();
   Stats.CrossingMapUpdates += E.crossingMapUpdates();
-  GcEvent *Ev = Tel.currentEvent();
-  if (Ev) {
+  if (GcEvent *Ev = Tel.currentEvent()) {
     Ev->BytesCopied = E.bytesCopied();
     Ev->ObjectsCopied = E.objectsCopied();
   }
-  if constexpr (Parallel) {
-    Stats.EvacWorkerFaults += E.workerFaults();
-    if (E.workerFaults())
-      ++Stats.EvacSerialRecoveries;
-    if (Ev) {
-      Ev->Workers = Opts.GcThreads;
-      Ev->WorkerFaults = E.workerFaults();
-      Ev->SerialRecovery = E.workerFaults() > 0;
-    }
-  }
   return E.bytesCopied();
-}
-
-uint64_t Collector::evacuate(const Evacuator::Config &C, RootSpans Spans) {
-  if (Pool) {
-    ParallelEvacuator E(C, *Pool);
-    return runEvacuation(E, Spans);
-  }
-  Evacuator E(C);
-  return runEvacuation(E, Spans);
-}
-
-size_t Collector::parallelSlackBytes(size_t IncomingBytes) const {
-  return Pool ? ParallelEvacuator::reserveSlackBytes(IncomingBytes,
-                                                     Opts.GcThreads)
-              : 0;
 }
 
 bool Collector::shouldPoison() const {

@@ -10,10 +10,10 @@
 ///
 /// The semispace and generational collectors are two configurations of one
 /// copying runtime, so the machinery they share lives here, once: the
-/// options, the list of mutator contexts, the evacuation worker pool, the
-/// root scan, the serial/parallel evacuation runner, from-space poisoning
-/// and the post-collection heap audit. Each collector keeps only its space
-/// layout and sizing policy.
+/// options, the list of mutator contexts, the GC worker pool, the root
+/// scan, the evacuation runner, from-space poisoning and the
+/// post-collection heap audit. Each collector keeps only its space layout
+/// and sizing policy.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -270,16 +270,11 @@ protected:
   /// Root spans in handoff order; null entries are skipped.
   using RootSpans = std::initializer_list<const std::vector<Word *> *>;
 
-  /// One evacuation on the serial engine, or on the parallel one when a
-  /// pool exists: hands \p Spans to the engine in order (StackTime,
+  /// One evacuation: hands \p Spans to the engine in order (StackTime,
   /// RootHandoff phase), copies (CopyTime, Copy phase), and folds the
   /// totals into the stats and the open event. The order of the spans is
   /// the copy order, so it fixes the heap layout. Returns the bytes copied.
   uint64_t evacuate(const Evacuator::Config &C, RootSpans Spans);
-
-  /// Extra destination room the parallel engine's block handout may waste
-  /// when copying \p IncomingBytes; 0 on the serial engine.
-  size_t parallelSlackBytes(size_t IncomingBytes) const;
 
   /// Bytes the hard cap still allows on top of \p StandingBytes (0 when
   /// the standing footprint already reaches the cap).
@@ -325,7 +320,8 @@ protected:
   const GcOptions &Opts;
   GcStats Stats;
   GcTelemetry Tel;
-  /// Present only when Opts.GcThreads > 1.
+  /// Present only when Opts.GcThreads > 1: runs the mark-compact mark and
+  /// fixup and the striped card sweep. Evacuation is always serial.
   std::unique_ptr<WorkerPool> Pool;
   /// Every mutator's root sources, in thread-index order; entry 0 is the
   /// primary mutator (CollectorEnv::Primary).
@@ -334,9 +330,6 @@ protected:
   RootSet Roots;
 
 private:
-  template <typename EngineT>
-  uint64_t runEvacuation(EngineT &E, RootSpans Spans);
-
   /// The poisoned idle to-space watchIdleSpace armed, if any.
   const Space *PoisonedIdle = nullptr;
 };

@@ -45,8 +45,7 @@ Word *Evacuator::copy(Word *P) {
 
   Word *NewPayload = Target->allocate(Descriptor, NewMeta);
   if (TILGC_UNLIKELY(!NewPayload) && Target != C.Dest) {
-    // The young destination ran dry: promote early rather than dying. The
-    // parallel engine applies the same young->old fallback.
+    // The young destination ran dry: promote early rather than dying.
     Target = C.Dest;
     NewPayload = Target->allocate(Descriptor, NewMeta);
   }

@@ -36,8 +36,6 @@
 
 namespace tilgc {
 
-class GcTelemetry;
-
 /// One evacuation pass: forward roots with forwardSlot(), then drain().
 class Evacuator {
 public:
@@ -64,10 +62,6 @@ public:
     /// True when a nursery is among From: age-0 survivors count as having
     /// survived their first collection.
     bool CountSurvivedFirst = false;
-    /// Optional telemetry plane. The serial engine ignores it (the
-    /// collector's phase scopes cover it); the parallel engine stamps
-    /// per-worker spans into the in-flight event when armed.
-    GcTelemetry *Telemetry = nullptr;
     /// Optional object-start crossing map covering Dest. When set, every
     /// object copied into Dest is recorded so later dirty-card scans can
     /// find object starts (CardMarking / Hybrid barriers).

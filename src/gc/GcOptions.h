@@ -128,8 +128,9 @@ struct GcOptions {
   unsigned VerifyLevel = 0;
 
   // --- Parallelism and pause budget ----------------------------------------
-  /// Evacuation threads. 1 = the serial engine (bit-identical paper
-  /// reproduction); >1 = the work-stealing ParallelEvacuator.
+  /// GC worker threads for the mark-compact mark and fixup and the striped
+  /// card sweep. Evacuation is always serial, so the semispace collector
+  /// ignores it; 1 runs everything on the collecting thread.
   unsigned GcThreads = 1;
   /// Pause-budget SLO mode (generational + MarkCompact only; the owning
   /// Mutator rejects any other combination). When non-zero, major

@@ -95,8 +95,6 @@ struct GcStats {
 
   // OOM-protocol and fault-resilience accounting.
   uint64_t HeapExhaustedThrows = 0; ///< Terminal ladder failures surfaced.
-  uint64_t EvacWorkerFaults = 0;    ///< Parallel-evacuation workers faulted.
-  uint64_t EvacSerialRecoveries = 0; ///< Evacuations finished by serial drain.
   uint64_t MarkWorkerFaults = 0;    ///< Parallel-mark workers faulted.
   uint64_t MarkSerialRecoveries = 0; ///< Marks finished by a serial re-trace.
   /// Majors where a mark-/plan-phase fault (injected or watchdog-detected)

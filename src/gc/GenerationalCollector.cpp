@@ -270,11 +270,8 @@ void GenerationalCollector::doMinor(size_t NeedTenuredBytes,
   if (TILGC_UNLIKELY(Opts.VerifyLevel >= 2))
     auditRememberedSets();
 
-  // The tenured generation must be able to absorb every survivor — plus,
-  // in parallel mode, the block-tail padding the handout can waste.
-  size_t MinorNeed = NurseryFrom->usedBytes() + NeedTenuredBytes +
-                     parallelSlackBytes(NurseryFrom->usedBytes());
-  if (TenuredFrom->freeBytes() < MinorNeed) {
+  // The tenured generation must be able to absorb every survivor.
+  if (TenuredFrom->freeBytes() < NurseryFrom->usedBytes() + NeedTenuredBytes) {
     // The minor never starts: the chained major is the whole collection
     // (and the only telemetry event).
     doMajor(NeedTenuredBytes, GcTrigger::TenuredPressure);
@@ -299,7 +296,6 @@ void GenerationalCollector::doMinor(size_t NeedTenuredBytes,
   C.TraceLOS = false;
   C.Profiler = Env.Profiler;
   C.CountSurvivedFirst = true;
-  C.Telemetry = &Tel;
   C.CrossDest = RS.crossDest();
 
   // Batched root pipeline: gather the heap-side roots (barrier output,
@@ -377,8 +373,7 @@ void GenerationalCollector::doMinor(size_t NeedTenuredBytes,
   maybeVerifyHeap("minor");
 
   // Promote-all minors put every survivor in the tenured generation; under
-  // aged tenuring (or parallel pad waste) the tenured used-delta is the
-  // truthful figure either way.
+  // aged tenuring the tenured used-delta is the truthful figure.
   if (GcEvent *Ev = Tel.currentEvent())
     Ev->BytesPromoted = TenuredFrom->usedBytes() - TenuredUsedBefore;
 
@@ -497,7 +492,7 @@ void GenerationalCollector::doMajorSemispace(size_t NeedTenuredBytes,
 
   size_t Incoming = TenuredFrom->usedBytes() + NurseryFrom->usedBytes() +
                     (AgedTenuring() ? NurseryTo->usedBytes() : 0);
-  size_t Reserve = Incoming + NeedTenuredBytes + parallelSlackBytes(Incoming);
+  size_t Reserve = Incoming + NeedTenuredBytes;
 
   // Hard-cap pre-flight, BEFORE any object moves: if the peak footprint of
   // this collection (to-space grown to the worst case if it needs growing)
@@ -572,7 +567,6 @@ void GenerationalCollector::evacuateMajorInto(size_t ReserveBytes) {
   C.TraceLOS = true;
   C.Profiler = Env.Profiler;
   C.CountSurvivedFirst = true;
-  C.Telemetry = &Tel;
   C.CrossDest = RS.crossDest();
 
   // Everything moves in a major collection: reused roots are processed,
@@ -723,12 +717,11 @@ void GenerationalCollector::runMarkCompact(MarkCompact &M,
 void GenerationalCollector::completeMarkedMajor(MarkCompact &M,
                                                 size_t NeedTenuredBytes) {
   // Decide in place vs grow while nothing has moved. The floor leaves the
-  // next minor collection's worst case (a full nursery plus parallel block
-  // slack) so compaction does not immediately pressure-chain into another
-  // major.
+  // next minor collection's worst case (a full nursery) so compaction does
+  // not immediately pressure-chain into another major.
   size_t Planned = M.plannedTenuredBytes();
-  size_t Floor =
-      Planned + NeedTenuredBytes + minorHeadroomBytes() + (16u << 10);
+  size_t Floor = Planned + NeedTenuredBytes + NurseryFrom->capacityBytes() +
+                 (16u << 10);
 
   if (Floor <= TenuredFrom->capacityBytes()) {
     // Hard pre-commit barrier: the last point where this collection can
@@ -862,8 +855,8 @@ void GenerationalCollector::runMajorEvacuationFallback(size_t NeedTenuredBytes) 
   // immediately pressure-chain into another major.
   size_t Incoming = TenuredFrom->usedBytes() + NurseryFrom->usedBytes() +
                     (AgedTenuring() ? NurseryTo->usedBytes() : 0);
-  size_t Reserve = Incoming + NeedTenuredBytes + minorHeadroomBytes() +
-                   (16u << 10) + parallelSlackBytes(Incoming);
+  size_t Reserve =
+      Incoming + NeedTenuredBytes + NurseryFrom->capacityBytes() + (16u << 10);
 
   // Hard-cap pre-flight before anything moves: refuse catchably with the
   // heap intact (the aborted mark mutated nothing).
@@ -887,11 +880,6 @@ void GenerationalCollector::evacuateAndReleaseOld(size_t ReserveBytes) {
   TenuredTo->release();
   Regions.attach(*TenuredFrom);
   poisonAfterMajor(*TenuredFrom);
-}
-
-size_t GenerationalCollector::minorHeadroomBytes() const {
-  return NurseryFrom->capacityBytes() +
-         parallelSlackBytes(NurseryFrom->capacityBytes());
 }
 
 bool GenerationalCollector::poisonAfterMajor(Space &Tenured) {

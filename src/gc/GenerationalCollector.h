@@ -133,18 +133,15 @@ private:
   /// 2× reservation is transient rather than standing).
   void doMajorMarkCompact(size_t NeedTenuredBytes, GcTrigger Trigger);
   /// Shared semispace-evacuation body: grows TenuredTo to at least \p
-  /// ReserveBytes, evacuates {nursery spaces, TenuredFrom} into it (serial
-  /// or parallel), merges stats/telemetry, sweeps deaths, swaps the tenured
-  /// spaces and clears collection-scoped state. Used by the semispace major
-  /// and the mark-compact growth fallback.
+  /// ReserveBytes, evacuates {nursery spaces, TenuredFrom} into it, merges
+  /// stats/telemetry, sweeps deaths, swaps the tenured spaces and clears
+  /// collection-scoped state. Used by the semispace major and the
+  /// mark-compact growth fallback.
   void evacuateMajorInto(size_t ReserveBytes);
   /// Mark-compact's evacuating swap (growth fallback, engine failover):
   /// evacuateMajorInto, then release the old space and re-bind the region
   /// overlay, so the 2x reservation is transient rather than standing.
   void evacuateAndReleaseOld(size_t ReserveBytes);
-  /// Tenured room a major leaves for the next minor's worst case: a full
-  /// nursery plus the parallel engine's block slack.
-  size_t minorHeadroomBytes() const;
   /// Post-major from-space poisoning (when shouldPoison()): the young
   /// spaces' free space and \p Tenured's. Returns whether it poisoned.
   bool poisonAfterMajor(Space &Tenured);
@@ -210,8 +207,7 @@ private:
 
   /// Enumerates write-barrier output, remembered pretenured regions and
   /// new large objects — the minor collection's heap-side roots — into
-  /// \p Fn(Word *Slot). Shared by the serial path (Fn forwards the slot
-  /// immediately) and the parallel one (Fn queues it as a root batch).
+  /// \p Fn(Word *Slot) (the minor gathers them into one root batch).
   template <typename SlotFn> void forEachOldToYoungRoot(SlotFn Fn);
 
   /// Registers a pretenured allocation for the next region scan.

@@ -21,7 +21,7 @@ using namespace tilgc;
 namespace {
 
 /// Thrown by the WorkerThrow fault point inside a mark worker; caught in
-/// workerMain. Same shape as the parallel evacuator's injected fault.
+/// workerMain.
 struct MarkFault {};
 
 /// Local mark stack size above which a worker publishes grey work for
@@ -344,8 +344,8 @@ void MarkCompact::mark() {
           S.Index = I;
           S.BeginNs = W.TelBeginNs;
           S.EndNs = W.TelEndNs;
-          S.BytesCopied = W.MarkedBytes;
-          S.ObjectsCopied = W.Marked;
+          S.BytesMarked = W.MarkedBytes;
+          S.ObjectsMarked = W.Marked;
           S.Faulted = W.Faulted;
           E->WorkerSpans.push_back(S);
         }
@@ -790,7 +790,7 @@ void MarkCompact::compact() {
 
     // Rebuild the crossing map over the new layout. Pads are recorded (a
     // dirty-card scan must step over them from a card's first word) but not
-    // counted, mirroring the evacuator.
+    // counted.
     if (C.CrossDest) {
       C.CrossDest->attach(*C.Tenured);
       Word *Base = C.Tenured->firstPayload() - HeaderWords;

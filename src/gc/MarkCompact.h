@@ -10,10 +10,9 @@
 /// collection runs four phases:
 ///
 ///  1. MARK — parallel trace over the existing WorkerPool: per-worker
-///     private mark stacks with grey overflow published to Chase-Lev deques,
-///     the same active-count termination protocol as the parallel
-///     evacuator. Marks land in side bitmaps (young spaces + tenured) and
-///     in the LOS mark bits.
+///     private mark stacks with grey overflow published to Chase-Lev deques
+///     and active-count termination. Marks land in side bitmaps (young
+///     spaces + tenured) and in the LOS mark bits.
 ///  2. PLAN — a serial, mutation-free walk of the tenured space: per-region
 ///     liveness accounting (RegionManager), dense/sparse classification,
 ///     a break table of contiguous slide runs (dense regions pin in place,

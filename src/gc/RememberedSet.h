@@ -184,10 +184,9 @@ template <typename SlotFn> void RememberedSet::forEachSlot(SlotFn Fn) {
   }
   GcTelemetry::PhaseScope PS(Tel, GcPhase::CardScan);
   // Card-scan fields are accounted as CardsScanned/CardSlotsVisited, not
-  // SSB entries: the emitted set depends on object placement, which the
-  // parallel evacuator makes engine-dependent, and SsbEntriesProcessed
-  // must stay in the deterministic event slice. The side buffer is precise
-  // barrier output and counts.
+  // SSB entries: the emitted set depends on object placement, not on the
+  // barrier's output. The side buffer is precise barrier output and
+  // counts.
   sweepCards(Fn);
   for (Word *Slot : LOSSlots) {
     Fn(Slot);

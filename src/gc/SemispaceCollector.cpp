@@ -66,10 +66,8 @@ void SemispaceCollector::collectInternal(size_t NeedBytes, GcTrigger Trigger) {
   checkIdleSpacePoison("semispace");
 
   // Worst case the to-space must absorb: everything live plus the
-  // allocation that triggered us (plus per-worker block-tail padding
-  // slack in parallel mode).
-  size_t WorstCase = Active->usedBytes() + NeedBytes +
-                     parallelSlackBytes(Active->usedBytes());
+  // allocation that triggered us.
+  size_t WorstCase = Active->usedBytes() + NeedBytes;
 
   // Hard-cap pre-flight, BEFORE any object moves: if the peak footprint of
   // this collection (to-space grown to the worst case if it needs growing)
@@ -106,7 +104,6 @@ void SemispaceCollector::collectInternal(size_t NeedBytes, GcTrigger Trigger) {
   C.Dest = Inactive;
   C.Profiler = Env.Profiler;
   C.CountSurvivedFirst = true;
-  C.Telemetry = &Tel;
   Stats.MajorBytesMoved += evacuate(
       C, {&Roots.FreshSlotRoots, &Roots.ReusedSlotRoots, &Roots.RegRoots});
 

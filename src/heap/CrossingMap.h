@@ -27,11 +27,8 @@
 ///           assert on it.
 ///
 /// Thread-safety: recordObject writes only the entries whose first word the
-/// object (or pad filler) covers. Parallel-evacuation copy blocks never
-/// overlap, and CAS losers retract their speculative allocation before any
-/// recording happens, so every entry byte has exactly one writer; distinct
-/// bytes are race-free, and the pool join publishes the writes before the
-/// next collection reads them.
+/// object (or pad filler) covers, and only the collecting thread records
+/// (evacuation is serial), so every entry byte has exactly one writer.
 ///
 //===----------------------------------------------------------------------===//
 

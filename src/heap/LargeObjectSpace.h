@@ -44,7 +44,7 @@ public:
 
   /// Marks the object at \p Payload live; returns false if already marked.
   /// Thread-safe against concurrent mark() calls (atomic test-and-set); the
-  /// parallel evacuator relies on exactly one marker winning.
+  /// parallel mark relies on exactly one marker winning.
   bool mark(Word *Payload);
 
   /// Whether the object at \p Payload currently carries a mark bit (the

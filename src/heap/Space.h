@@ -59,16 +59,13 @@ public:
   }
 
   /// Atomically carves a block of up to \p MaxWords (at least \p MinWords)
-  /// off the allocation frontier. This is the parallel evacuator's handout
-  /// API: workers bump-allocate privately inside their block, so only the
-  /// block grant itself is contended. Returns false when fewer than
+  /// off the allocation frontier. This is the mutator TLAB handout: each
+  /// mutator bump-allocates privately inside its block, so only the block
+  /// grant itself is contended. Returns false when fewer than
   /// \p MinWords remain below the soft limit. Safe against concurrent
   /// allocateBlock/returnBlockTail calls; NOT against concurrent allocate().
   bool allocateBlock(size_t MinWords, size_t MaxWords, Word *&BlockBegin,
                      Word *&BlockEnd) {
-    if (TILGC_UNLIKELY(FaultInjector::enabled()) &&
-        FaultInjector::global().shouldFire(FaultPoint::SpaceBlockHandout))
-      return false;
     std::atomic_ref<Word *> ANext(Next);
     Word *Cur = ANext.load(std::memory_order_relaxed);
     size_t Take;
@@ -172,7 +169,8 @@ public:
   /// \p Fn(PayloadPtr, LiveDescriptor, IsForwarded). For forwarded objects
   /// the descriptor is fetched from the copy so the walk can still compute
   /// sizes (the profiler's death sweep walks a from-space after a copy).
-  /// Pad fillers left by the parallel evacuator are skipped silently.
+  /// Pad fillers (retired TLAB tails, compaction gaps) are skipped
+  /// silently.
   template <typename FnT> void walk(FnT Fn) const {
     Word *P = Base;
     while (P < Next) {

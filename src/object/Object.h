@@ -62,8 +62,8 @@ enum class ObjectKind : uint8_t {
   Record,      ///< Mixed fields; pointer-ness given by the header mask.
   PtrArray,    ///< Every element is a pointer (or the null value 0).
   NonPtrArray, ///< Raw words: unboxed ints, doubles, bytes.
-  Pad,         ///< Dead filler words left by the parallel evacuator at the
-               ///< unused tail of a per-worker copy block. Never allocated
+  Pad,         ///< Dead filler words left at the unused tail of a retired
+               ///< mutator TLAB (or a compaction gap). Never allocated
                ///< by the mutator, never referenced; linear space walks skip
                ///< it. Its length field holds the TOTAL size in words
                ///< (including the descriptor word itself), so a gap as small

@@ -77,15 +77,15 @@ const char *gcTriggerName(GcTrigger T);
 /// Display name of a generation.
 const char *gcGenerationName(GcGeneration G);
 
-/// One parallel-evacuation worker's activity inside a collection, for the
-/// exporter's per-worker tracks. Stamped only while an observer is
-/// registered.
+/// One parallel-mark worker's activity inside a mark-compact major (its
+/// bytes and objects are the ones it marked), for the exporter's per-worker
+/// tracks. Stamped only while an observer is registered.
 struct GcWorkerSpan {
   uint32_t Index = 0;
   uint64_t BeginNs = 0; ///< Process-epoch-relative (GcTelemetry::nowNs).
   uint64_t EndNs = 0;
-  uint64_t BytesCopied = 0;
-  uint64_t ObjectsCopied = 0;
+  uint64_t BytesMarked = 0;
+  uint64_t ObjectsMarked = 0;
   bool Faulted = false;
 };
 
@@ -101,9 +101,8 @@ struct GcEvent {
   uint64_t BytesCopied = 0;
   uint64_t ObjectsCopied = 0;
   /// Bytes that landed in the tenured generation: equals BytesCopied for
-  /// promote-all minors; the tenured used-bytes delta under aged tenuring
-  /// (which may include parallel block padding); 0 for majors (everything
-  /// moves — BytesCopied is the figure there).
+  /// promote-all minors; the tenured used-bytes delta under aged tenuring;
+  /// 0 for majors (everything moves — BytesCopied is the figure there).
   uint64_t BytesPromoted = 0;
   /// Pretenured-site bytes allocated since the previous collection.
   uint64_t BytesPretenured = 0;
@@ -114,25 +113,17 @@ struct GcEvent {
   uint64_t SsbEntriesProcessed = 0;
   /// Crossing-map records since the previous collection (pretenured
   /// allocations plus objects promoted by this collection; pad fillers are
-  /// recorded in the map but not counted, since padding varies with thread
-  /// count). Deterministic across GcThreads.
+  /// recorded in the map but not counted).
   uint64_t CrossingMapUpdates = 0;
   /// True when the Hybrid barrier degraded SSB→cards since the previous
   /// collection. Mutator-side and placement-independent: deterministic.
   bool HybridSwitched = false;
-
-  // --- Engine-dependent counters (like BytesPromoted, excluded from the
-  // deterministic slice): dirty-card geometry depends on where promotion
-  // placed objects, which varies with the parallel evacuator's block
-  // scheduling. Serial runs are still deterministic run-to-run. ----------
   /// Dirty cards pending at the start of this collection (minors only).
   uint64_t DirtyCards = 0;
   /// Dirty cards actually walked by this collection's card sweep.
   uint64_t CardsScanned = 0;
   /// Mark-compact majors: physically relocated bytes (slid tenured runs
-  /// plus promoted young survivors). Layout-dependent — where the parallel
-  /// evacuator placed promotions decides which regions are dense — so
-  /// engine-dependent, like the card counters.
+  /// plus promoted young survivors).
   uint64_t BytesMoved = 0;
   /// Mark-compact majors: region census at plan time.
   uint32_t RegionsTotal = 0;
@@ -140,9 +131,9 @@ struct GcEvent {
   uint32_t RegionsEvacuated = 0;
 
   // --- Configuration / outcome -----------------------------------------
-  uint32_t Workers = 1; ///< Evacuation threads configured.
+  uint32_t Workers = 1; ///< Mark threads configured (mark-compact majors).
   uint32_t WorkerFaults = 0;
-  bool SerialRecovery = false; ///< Evacuation finished by the serial drain.
+  bool SerialRecovery = false; ///< Mark finished by the serial re-trace.
   /// A mark-/plan-phase fault aborted the mark-compact engine and a
   /// semispace evacuation finished this major. Deterministic under seeded
   /// fault injection (the abort fires at a fixed crossing), so event-diff
@@ -158,7 +149,7 @@ struct GcEvent {
   /// Accumulated time inside each phase (a phase may be entered twice).
   uint64_t PhaseDurNs[NumGcPhases] = {};
 
-  /// Per-worker activity (parallel evacuation, armed telemetry only).
+  /// Per-worker activity (parallel mark, armed telemetry only).
   std::vector<GcWorkerSpan> WorkerSpans;
 
   /// Per-mutator park spans for the safepoint that preceded this

@@ -20,8 +20,8 @@
 ///  - onPretenureDecision: when a profile-driven PretenureFlag flips at
 ///    collector construction (§6 profile application), once per site,
 ///    with the promotion-rate evidence that justified it.
-///  - onWorkerFault: after a parallel-evacuation worker faulted and the
-///    pass completed via serial recovery — reported from the controlling
+///  - onWorkerFault: after a parallel-mark worker faulted and the mark
+///    completed via serial recovery — reported from the controlling
 ///    thread once the pool has joined, one call per faulted worker.
 ///  - onWatchdogBark: THE exception to the threading rule above — it runs
 ///    on the watchdog's supervisor thread while the stalled window owner

@@ -20,7 +20,7 @@
 ///    touching the clock.
 ///
 /// Threading: begin/end/phase/dispatch run only on the thread driving the
-/// collection. Parallel-evacuation workers stamp their own spans into
+/// collection. Parallel mark workers stamp their own spans into
 /// worker-local storage; the controlling thread merges them after the
 /// pool joins, so observers never run concurrently with workers.
 /// Collections never nest (a pressure-chained major runs strictly before

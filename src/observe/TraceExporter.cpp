@@ -176,22 +176,22 @@ std::string TraceExporter::render(const EventRecorder &R,
       Out += "}";
     }
 
-    // Per-worker evacuation spans on their own tracks.
+    // Per-worker mark spans on their own tracks.
     for (const GcWorkerSpan &W : E.WorkerSpans) {
       unsigned Tid = W.Index + 1;
       if (Tid > MaxWorkerTid)
         MaxWorkerTid = Tid;
-      std::string WName = W.Faulted ? "evacuate (faulted)" : "evacuate";
+      std::string WName = W.Faulted ? "mark (faulted)" : "mark";
       Out += ",\n";
       appendCommon(Out, WName.c_str(), "X", W.BeginNs, Tid);
       Out += ",\"dur\":";
       appendUs(Out, W.EndNs >= W.BeginNs ? W.EndNs - W.BeginNs : 0);
       Out += ",\"args\":{\"gc\":";
       appendU64(Out, E.Seq);
-      Out += ",\"bytes_copied\":";
-      appendU64(Out, W.BytesCopied);
-      Out += ",\"objects_copied\":";
-      appendU64(Out, W.ObjectsCopied);
+      Out += ",\"bytes_marked\":";
+      appendU64(Out, W.BytesMarked);
+      Out += ",\"objects_marked\":";
+      appendU64(Out, W.ObjectsMarked);
       Out += "}}";
     }
 
@@ -279,7 +279,7 @@ std::string TraceExporter::render(const EventRecorder &R,
   }
 
   for (unsigned Tid = 1; Tid <= MaxWorkerTid; ++Tid) {
-    std::string Name = "evac worker ";
+    std::string Name = "gc worker ";
     char Buf[16];
     std::snprintf(Buf, sizeof(Buf), "%u", Tid - 1);
     Name += Buf;

@@ -11,7 +11,7 @@
 ///    carrying trigger/bytes/frames counters in "args";
 ///  - one complete event per phase that ran, nested under the collection;
 ///  - per-worker tracks (tid = worker index + 1) with one complete event
-///    per worker's evacuation span when parallel evacuation stamped them;
+///    per worker's span when a parallel mark-compact mark stamped them;
 ///  - instant events ("ph":"i") for pretenure-decision audits and worker
 ///    faults.
 /// Timestamps are microseconds relative to the process telemetry epoch.

@@ -108,9 +108,9 @@ public:
   void reset() { Stats.clear(); }
 
   /// Accumulates \p Other into this profiler: counters add, referent-site
-  /// sets union. The parallel evacuator gives each worker a private scratch
-  /// profiler and merges them after the join, so a profiled parallel run
-  /// derives exactly the same pretenure set as a serial one.
+  /// sets union. Each group mutator records into a private scratch
+  /// profiler merged here at its safepoints, so a profiled group derives
+  /// the same pretenure set as one shared profiler would.
   void mergeFrom(const HeapProfiler &Other);
 
   const SiteStats &site(uint32_t Id) const;

@@ -505,8 +505,7 @@ private:
   std::vector<Word> LocalSatb;
   LocalAlloc LocalStats;
   /// Per-thread profiler scratch (group members), merged into the shared
-  /// profiler at each merge (same scheme as the parallel evacuator's
-  /// workers).
+  /// profiler at each merge.
   std::unique_ptr<HeapProfiler> LocalProf;
   /// Where the bump records profile samples: the shared profiler for a
   /// standalone mutator, LocalProf in a group, null without profiling.

@@ -54,11 +54,9 @@ void FaultInjector::reset() {
 
 bool FaultInjector::shouldFire(FaultPoint P) {
   // Mutator-path alloc faults must not perturb (or be perturbed by)
-  // collection-internal allocation, nor evacuation handout faults by the
-  // mutators' TLAB refills; see ScopedGcPhase.
-  bool InGc = GcDepth.load(std::memory_order_relaxed) > 0;
-  if ((P == FaultPoint::SpaceAllocNull && InGc) ||
-      (P == FaultPoint::SpaceBlockHandout && !InGc))
+  // collection-internal allocation; see ScopedGcPhase.
+  if (P == FaultPoint::SpaceAllocNull &&
+      GcDepth.load(std::memory_order_relaxed) > 0)
     return false;
 
   Point &Pt = Points[index(P)];
@@ -82,8 +80,6 @@ const char *FaultInjector::pointName(FaultPoint P) {
   switch (P) {
   case FaultPoint::SpaceAllocNull:
     return "space-alloc-null";
-  case FaultPoint::SpaceBlockHandout:
-    return "space-block-handout";
   case FaultPoint::WorkerStall:
     return "worker-stall";
   case FaultPoint::WorkerThrow:

@@ -36,19 +36,14 @@ namespace tilgc {
 enum class FaultPoint : unsigned {
   /// Space::allocate returns null on a mutator-path allocation, driving the
   /// collector's OOM escalation ladder. Suppressed while a collection is in
-  /// progress (ScopedGcPhase) so evacuation copy destinations are exercised
-  /// via SpaceBlockHandout instead.
+  /// progress (ScopedGcPhase): a failed evacuation copy is terminal, not a
+  /// recoverable refusal.
   SpaceAllocNull,
-  /// Space::allocateBlock refuses the handout, starving a parallel
-  /// evacuation worker of copy space. Counted only while a collection is in
-  /// progress (ScopedGcPhase): a mutator's TLAB refill refusal is
-  /// TlabRefillFail.
-  SpaceBlockHandout,
-  /// A parallel evacuation worker sleeps mid-drain, skewing the
-  /// termination protocol's timing.
+  /// A parallel mark worker sleeps mid-trace, skewing the termination
+  /// protocol's timing.
   WorkerStall,
-  /// A parallel evacuation worker throws mid-drain; the evacuator must
-  /// degrade to a serial recovery drain instead of deadlocking.
+  /// A parallel mark worker throws mid-trace; the mark must degrade to a
+  /// serial re-trace instead of deadlocking.
   WorkerThrow,
   /// Collectors poison evacuated from-space regardless of VerifyLevel, so
   /// any stale from-space read trips the misaligned-pointer check.
@@ -87,7 +82,7 @@ class FaultInjector {
 public:
   static constexpr unsigned NumPoints =
       static_cast<unsigned>(LastFaultPoint) + 1;
-  static_assert(NumPoints == 11,
+  static_assert(NumPoints == 10,
                 "FaultPoint changed: update LastFaultPoint, pointName, and "
                 "the torture matrices that enumerate points");
   /// FireCount value meaning "once triggered, fire on every crossing".
@@ -119,8 +114,7 @@ public:
 
   /// Counts a crossing of \p P and reports whether the fault fires there.
   /// Only call behind enabled(); crossings of SpaceAllocNull inside a
-  /// collection phase, and of SpaceBlockHandout outside one, neither count
-  /// nor fire.
+  /// collection phase neither count nor fire.
   bool shouldFire(FaultPoint P);
 
   /// Dynamic crossings counted while armed (diagnostics / tests).

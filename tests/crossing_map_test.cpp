@@ -118,8 +118,8 @@ TEST(CrossingMapUnit, BackSkipChainsResolvePastMaxSkip) {
 }
 
 TEST(CrossingMapUnit, PadFillersCoverTheirCards) {
-  // Parallel evacuation retires partially-filled blocks with pad headers;
-  // the pads are recorded like objects so their cards still resolve.
+  // Compaction leaves pad headers over the gaps it opens; the pads are
+  // recorded like objects so their cards still resolve.
   Space S;
   S.reserve(64 * 1024);
   CrossingMap CM;
@@ -310,9 +310,9 @@ class CrossingMapParallel : public ::testing::TestWithParam<unsigned> {};
 } // namespace
 
 TEST_P(CrossingMapParallel, PromotionMaintainsMapUnderParallelEvacuation) {
-  // Parallel evacuation promotes with per-worker copy blocks and pad
-  // fillers; every dirty card over that layout must still resolve to an
-  // object start (the debug scan asserts on Unknown below the frontier).
+  // GcThreads > 1 stripes the card sweep across workers; every dirty card
+  // over the promoted layout must still resolve to an object start (the
+  // debug scan asserts on Unknown below the frontier).
   MutatorConfig C;
   C.BudgetBytes = 16u << 20;
   C.Barrier = GenerationalCollector::BarrierKind::CardMarking;

@@ -24,6 +24,25 @@ Word *mkRecord(Space &S, uint32_t Fields, uint32_t Mask, uint32_t Site = 1) {
   return P;
 }
 
+/// Evacuates a 4,096-cell list (96 KiB live) into a 4 KiB destination.
+void evacuateIntoTooSmallSpace() {
+  Space From, To;
+  From.reserve(128 * 1024);
+  To.reserve(4096);
+  Word Root = 0;
+  for (int I = 0; I < 4096; ++I) {
+    Word *Cell = mkRecord(From, 1, 0b1);
+    Cell[0] = Root;
+    Root = reinterpret_cast<Word>(Cell);
+  }
+  Evacuator::Config Cfg;
+  Cfg.From = {&From, nullptr, nullptr};
+  Cfg.Dest = &To;
+  Evacuator E(Cfg);
+  E.forwardSlot(&Root);
+  E.drain();
+}
+
 } // namespace
 
 TEST(EvacuatorTest, CopiesReachableGraphOnce) {
@@ -55,6 +74,15 @@ TEST(EvacuatorTest, CopiesReachableGraphOnce) {
   Word *NC2 = reinterpret_cast<Word *>(NB[0]);
   EXPECT_EQ(NC1, NC2) << "shared object must be copied once";
   EXPECT_EQ(NC1[0], 777u);
+}
+
+TEST(EvacuatorDeathTest, DestinationOverflowDiesStructurally) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // A copy that finds no destination room has half-evacuated the heap:
+  // it must die with the structured message in every build mode, never
+  // hang or scribble.
+  EXPECT_DEATH(evacuateIntoTooSmallSpace(),
+               "destination space overflowed during evacuation");
 }
 
 TEST(EvacuatorTest, CyclesTerminate) {

@@ -9,8 +9,8 @@
 /// resilience contract: a run under injected faults either completes with
 /// the byte-identical checksum of an uninjected run, or fails with a
 /// structured error — and the heap verifies clean either way. The parallel
-/// evacuator must degrade to its serial recovery drain when a worker
-/// faults, never deadlock on the termination protocol.
+/// mark must degrade to its serial re-trace when a worker faults, never
+/// deadlock on the termination protocol.
 ///
 /// Like oom_test.cpp, this file is also compiled into the NDEBUG
 /// resilience binary. The seeded ResilienceTorture suite reads
@@ -43,12 +43,6 @@ struct ScopedFaults {
   ~ScopedFaults() { FaultInjector::global().reset(); }
 };
 
-uint32_t faultKey() {
-  static const uint32_t K = TraceTableRegistry::global().define(
-      FrameLayout("fault.roots", {Trace::pointer(), Trace::pointer()}));
-  return K;
-}
-
 uint64_t envSeed(uint64_t Default) {
   if (const char *E = std::getenv("TILGC_TORTURE_SEED"))
     return static_cast<uint64_t>(std::strtoull(E, nullptr, 10));
@@ -71,7 +65,7 @@ MutatorConfig faultConfig(const char *Name, unsigned GcThreads) {
   MutatorConfig C;
   C.Name = Name;
   C.BudgetBytes = 2u << 20;
-  C.NurseryLimitBytes = 96u << 10; // Tight: many parallel minor GCs.
+  C.NurseryLimitBytes = 96u << 10; // Tight: many minor GCs.
   C.GcThreads = GcThreads;
   C.VerifyLevel = envVerifyLevel(1);
   return C;
@@ -156,46 +150,42 @@ TEST(FaultInjection, FromSpacePoisonPassesVerifierOnCleanRuns) {
   EXPECT_EQ(Sum, Expected);
 }
 
-/// The graceful-degradation acceptance matrix: a worker faulting mid-pass
-/// at GcThreads 2 and 8 must fall back to the serial recovery drain, finish
-/// the collection, and leave the mutator computing the exact uninjected
-/// checksum.
+/// The graceful-degradation acceptance matrix: a mark worker faulting
+/// mid-trace at GcThreads 2 and 8 must fall back to the serial re-trace,
+/// finish the mark-compact major, and leave the mutator computing the exact
+/// uninjected checksum. PIA runs mark-compact majors under faultConfig's
+/// budget (Life runs none).
 class WorkerFaultDegradation
     : public ::testing::TestWithParam<std::tuple<unsigned, FaultPoint>> {};
 
 TEST_P(WorkerFaultDegradation, RecoversSeriallyWithIdenticalChecksum) {
   unsigned Threads = std::get<0>(GetParam());
   FaultPoint P = std::get<1>(GetParam());
-  uint64_t Expected = findWorkload("Life")->expected(0.12);
+  uint64_t Expected = findWorkload("PIA")->expected(0.12);
 
   ScopedFaults Guard;
-  if (P == FaultPoint::WorkerThrow)
-    // Forever: every worker of every parallel pass throws at entry, so
-    // every collection runs entirely through the serial recovery drain.
-    FaultInjector::global().arm(P, 1, FaultInjector::Forever);
-  else
-    // Exactly one refused handout: one worker faults and the recovery
-    // drain (whose own handouts are later crossings) finishes its work. A
-    // persistent refusal would starve recovery too — that terminal path is
-    // the death test below.
-    FaultInjector::global().arm(P, 1, /*FireCount=*/1);
+  // Forever: every worker of every parallel mark throws, so every major
+  // runs its mark through the serial re-trace.
+  FaultInjector::global().arm(P, 1, FaultInjector::Forever);
 
-  MutatorConfig C = faultConfig("life-workerfault", Threads);
+  MutatorConfig C = faultConfig("pia-workerfault", Threads);
+  C.MajorGc = GenerationalCollector::MajorGcKind::MarkCompact;
   Mutator M(C);
-  uint64_t Sum = findWorkload("Life")->run(M, 0.12);
+  uint64_t Sum = findWorkload("PIA")->run(M, 0.12);
   EXPECT_EQ(Sum, Expected);
   EXPECT_GE(FaultInjector::global().fired(P), 1u);
-  EXPECT_GE(M.gcStats().EvacWorkerFaults, 1u);
-  EXPECT_GE(M.gcStats().EvacSerialRecoveries, 1u);
+  EXPECT_GE(M.gcStats().MarkWorkerFaults, 1u);
+  EXPECT_GE(M.gcStats().MarkSerialRecoveries, 1u);
   std::string Error;
   EXPECT_TRUE(M.verifyHeap(Error)) << Error;
 }
 
+// WorkerThrow is the only point that faults a mark worker; the fault axis
+// keeps the test names stable.
 INSTANTIATE_TEST_SUITE_P(
     Threads, WorkerFaultDegradation,
     ::testing::Combine(::testing::Values(2u, 8u),
-                       ::testing::Values(FaultPoint::WorkerThrow,
-                                         FaultPoint::SpaceBlockHandout)),
+                       ::testing::Values(FaultPoint::WorkerThrow)),
     [](const ::testing::TestParamInfo<std::tuple<unsigned, FaultPoint>>
            &Info) {
       return std::string(FaultInjector::pointName(std::get<1>(Info.param)))
@@ -207,42 +197,17 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(FaultInjection, WorkerStallDoesNotDeadlockTermination) {
-  uint64_t Expected = findWorkload("Life")->expected(0.12);
+  uint64_t Expected = findWorkload("PIA")->expected(0.12);
   ScopedFaults Guard;
   FaultInjector::global().arm(FaultPoint::WorkerStall, 1, /*FireCount=*/4);
-  Mutator M(faultConfig("life-stall", 4));
-  uint64_t Sum = findWorkload("Life")->run(M, 0.12);
+  MutatorConfig C = faultConfig("pia-stall", 4);
+  C.MajorGc = GenerationalCollector::MajorGcKind::MarkCompact;
+  Mutator M(C);
+  uint64_t Sum = findWorkload("PIA")->run(M, 0.12);
   EXPECT_EQ(Sum, Expected);
   EXPECT_GE(FaultInjector::global().fired(FaultPoint::WorkerStall), 1u);
   // A stall is not a fault: no recovery pass should have run.
-  EXPECT_EQ(M.gcStats().EvacWorkerFaults, 0u);
-}
-
-TEST(FaultInjectionDeath, PersistentBlockStarvationDiesInRecovery) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // Every handout refused, including during serial recovery: a genuine
-  // mid-evacuation OOM. Must die with the structured fatal message in
-  // every build mode — never hang, never scribble.
-  EXPECT_DEATH(
-      {
-        FaultInjector::global().reset();
-        FaultInjector::global().arm(FaultPoint::SpaceBlockHandout, 1,
-                                    FaultInjector::Forever);
-        MutatorConfig C;
-        C.Name = "starved";
-        C.BudgetBytes = 2u << 20;
-        C.NurseryLimitBytes = 96u << 10;
-        C.GcThreads = 2;
-        Mutator M(C);
-        uint32_t Site = AllocSiteRegistry::global().define("starved.site");
-        Frame F(M, faultKey());
-        for (uint64_t I = 0; I < 1000000; ++I) {
-          Value Cell = M.allocRecord(Site, 2, 0b10);
-          M.initField(Cell, 1, F.get(1));
-          F.set(1, Cell);
-        }
-      },
-      "destination space overflowed during serial recovery");
+  EXPECT_EQ(M.gcStats().MarkWorkerFaults, 0u);
 }
 
 /// Seeded end-to-end torture: arm a seed-derived subset of fault points,
@@ -277,10 +242,8 @@ TEST_P(ResilienceTorture, CompletesOrFailsStructurally) {
   // once per collection (20-70 times a run here): draw from the first 20.
   FI.armFromSeed(FaultPoint::SpaceAllocNull, Seed, 20, 2);
   // A refused refill degrades to the collector's allocate() (stopped, in
-  // a group). Handout refusals hit parallel evacuation workers only; zero
-  // crossings at one GC thread.
+  // a group).
   FI.armFromSeed(FaultPoint::TlabRefillFail, Seed, 100, 2);
-  FI.armFromSeed(FaultPoint::SpaceBlockHandout, Seed, 200, 1);
   if (Threads > 1) {
     FI.armFromSeed(FaultPoint::WorkerThrow, Seed, 500, 1);
     // A no-show skips one park poll (bounded FireCount so the rendezvous

@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -334,11 +336,7 @@ namespace {
 
 constexpr double BarrierDiffScale = 0.1;
 
-/// The deterministic outcome of one profiled workload run. CopiedBytes is
-/// carried too, but compared only between serial runs: parallel copy-block
-/// padding shifts where major collections land, so lifetime copied-bytes is
-/// engine-dependent across thread counts (the same reason GcEvent excludes
-/// BytesPromoted from its deterministic slice).
+/// The deterministic outcome of one profiled workload run.
 struct RunOutcome {
   uint64_t Checksum = 0;
   uint64_t ProfiledAllocBytes = 0;
@@ -417,10 +415,8 @@ TEST_P(BarrierDifferential, AllWorkloadsMatchSerialSsb) {
         << W.name() << " under " << TC.Name;
     EXPECT_EQ(Got.ProfiledAllocBytes, Baseline[WIdx].ProfiledAllocBytes)
         << W.name() << " under " << TC.Name;
-    if (TC.Threads == 1) {
-      EXPECT_EQ(Got.ProfiledCopiedBytes, Baseline[WIdx].ProfiledCopiedBytes)
-          << W.name() << " under " << TC.Name;
-    }
+    EXPECT_EQ(Got.ProfiledCopiedBytes, Baseline[WIdx].ProfiledCopiedBytes)
+        << W.name() << " under " << TC.Name;
     EXPECT_EQ(Got.PretenureSet, Baseline[WIdx].PretenureSet)
         << W.name() << " under " << TC.Name << ": pretenure set diverged";
   }
@@ -459,3 +455,164 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<BarrierDiffCase> &Info) {
       return std::string(Info.param.Name);
     });
+
+//===----------------------------------------------------------------------===//
+// GcThreads invariance through the Mutator facade: a deterministic churn
+// with barriered back-edges and explicit collections leaves the same live
+// structure, copies the same bytes and objects, and records the same
+// per-site profile at every thread count.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+uint32_t siteFor(unsigned I) {
+  static const uint32_t Base = [] {
+    uint32_t First = AllocSiteRegistry::global().define("par.site0");
+    for (int K = 1; K < 5; ++K)
+      AllocSiteRegistry::global().define("par.site" + std::to_string(K));
+    return First;
+  }();
+  return Base + (I % 5);
+}
+
+uint32_t rootsKey() {
+  static const uint32_t K = TraceTableRegistry::global().define(FrameLayout(
+      "par.roots", {Trace::pointer(), Trace::pointer(), Trace::pointer(),
+                    Trace::pointer()}));
+  return K;
+}
+
+/// Deterministic mutator workload: builds linked lists with shared tails
+/// across four root slots, mutates old cells through the write barrier
+/// (including cycle-creating back-edges), drops roots, and forces minor and
+/// major collections along the way.
+uint64_t mutate(Mutator &M) {
+  Frame F(M, rootsKey());
+  uint64_t Rng = 0x9E3779B97F4A7C15ULL;
+  auto Rand = [&] {
+    Rng ^= Rng << 13, Rng ^= Rng >> 7, Rng ^= Rng << 17;
+    return Rng;
+  };
+  for (unsigned I = 0; I < 6000; ++I) {
+    unsigned R = 1 + Rand() % 4; // Frame slots are 1-based (0 is the key).
+    // cons(I, F[R]) with a second pointer field sharing another root's list.
+    Value Cell = M.allocRecord(siteFor(I), 3, 0b110);
+    M.initField(Cell, 0, Value::fromInt(static_cast<int64_t>(I)));
+    M.initField(Cell, 1, F.get(R));
+    M.initField(Cell, 2, F.get(1 + Rand() % 4));
+    F.set(R, Cell);
+    if (I % 97 == 0) {
+      // Barriered back-edge into an old cell: may create a cycle.
+      Value Old = F.get(1 + R % 4);
+      if (!Old.isNull())
+        M.writeField(Old, 2, F.get(R), /*IsPointerField=*/true);
+    }
+    if (I % 211 == 0)
+      F.set(1 + Rand() % 4, Value::null());
+    if (I % 509 == 0)
+      M.collect(/*Major=*/false);
+    if (I % 1777 == 0)
+      M.collect(/*Major=*/true);
+  }
+  M.collect(/*Major=*/true);
+
+  // Address-independent hash over everything reachable from the frame.
+  std::unordered_map<const Word *, uint64_t> Visited;
+  uint64_t Hash = 1469598103934665603ULL;
+  auto Mix = [&](uint64_t V) { Hash = (Hash ^ V) * 1099511628211ULL; };
+  std::vector<Value> Stack;
+  for (unsigned R = 1; R <= 4; ++R)
+    Stack.push_back(F.get(R));
+  while (!Stack.empty()) {
+    Value V = Stack.back();
+    Stack.pop_back();
+    if (V.isNull()) {
+      Mix(0x11);
+      continue;
+    }
+    auto [It, Fresh] = Visited.emplace(V.asPtr(), Visited.size());
+    Mix(It->second);
+    if (!Fresh)
+      continue;
+    Mix(Mutator::getField(V, 0).bits());
+    Stack.push_back(Mutator::getField(V, 1));
+    Stack.push_back(Mutator::getField(V, 2));
+  }
+  return Hash;
+}
+
+struct ChurnOutcome {
+  uint64_t Hash;
+  uint64_t NumGC;
+  uint64_t BytesCopied;
+  uint64_t ObjectsCopied;
+  std::vector<std::tuple<uint64_t, uint64_t, uint64_t>> Sites;
+};
+
+ChurnOutcome runChurn(CollectorKind Kind, unsigned Threads,
+                       unsigned PromoteAge) {
+  // Configured so that only the workload's *explicit* collections trigger:
+  // the tiny target-liveness ratios keep the resize policy from shrinking
+  // spaces, so the same collections run at every thread count.
+  MutatorConfig Cfg;
+  Cfg.Kind = Kind;
+  Cfg.BudgetBytes = 16u << 20;
+  Cfg.NurseryLimitBytes = 512u << 10;
+  Cfg.SemispaceTargetLiveness = 1e-6; // live/r always clamps to the max:
+  Cfg.TenuredTargetLiveness = 1e-6;   // spaces never shrink, no auto GCs.
+  Cfg.GcThreads = Threads;
+  Cfg.PromoteAgeThreshold = PromoteAge;
+  Cfg.EnableProfiling = true;
+  Cfg.VerifyLevel = 1;
+  Mutator M(Cfg);
+  ChurnOutcome R;
+  R.Hash = mutate(M);
+  R.NumGC = M.gcStats().NumGC;
+  R.BytesCopied = M.gcStats().BytesCopied;
+  R.ObjectsCopied = M.gcStats().ObjectsCopied;
+  const HeapProfiler *P = M.profiler();
+  for (uint32_t S = 0; S < P->numSites(); ++S) {
+    const SiteStats &SS = P->site(S);
+    R.Sites.emplace_back(SS.CopiedBytes, SS.SurvivedFirstCount,
+                         SS.DeathCount);
+  }
+  return R;
+}
+
+class ParallelCollector : public ::testing::TestWithParam<unsigned> {};
+
+} // namespace
+
+TEST_P(ParallelCollector, SemispaceMatchesSerial) {
+  static const ChurnOutcome Serial =
+      runChurn(CollectorKind::Semispace, 1, 1);
+  ChurnOutcome R = runChurn(CollectorKind::Semispace, GetParam(), 1);
+  EXPECT_EQ(R.Hash, Serial.Hash);
+  ASSERT_EQ(R.NumGC, Serial.NumGC) << "collection cadence diverged";
+  EXPECT_EQ(R.BytesCopied, Serial.BytesCopied);
+  EXPECT_EQ(R.ObjectsCopied, Serial.ObjectsCopied);
+  EXPECT_EQ(R.Sites, Serial.Sites);
+}
+
+TEST_P(ParallelCollector, GenerationalMatchesSerial) {
+  static const ChurnOutcome Serial =
+      runChurn(CollectorKind::Generational, 1, 1);
+  ChurnOutcome R = runChurn(CollectorKind::Generational, GetParam(), 1);
+  EXPECT_EQ(R.Hash, Serial.Hash);
+  ASSERT_EQ(R.NumGC, Serial.NumGC) << "collection cadence diverged";
+  EXPECT_EQ(R.BytesCopied, Serial.BytesCopied);
+  EXPECT_EQ(R.ObjectsCopied, Serial.ObjectsCopied);
+  EXPECT_EQ(R.Sites, Serial.Sites);
+}
+
+TEST_P(ParallelCollector, AgedTenuringStructureSurvives) {
+  // Aged tenuring keeps survivors young across collections; the live
+  // structure must be preserved exactly at every thread count.
+  static const uint64_t SerialHash =
+      runChurn(CollectorKind::Generational, 1, 3).Hash;
+  EXPECT_EQ(runChurn(CollectorKind::Generational, GetParam(), 3).Hash,
+            SerialHash);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ParallelCollector,
+                         ::testing::Values(2u, 8u));

@@ -14,8 +14,7 @@
 ///  * StoreBuffer's shrink policy bounds retention after an SSB flood.
 ///  * Per-collection GcEvents: phase times fit inside the pause, histogram
 ///    counts sum to NumGC, triggers classify correctly, and the
-///    deterministic event fields are identical across GcThreads — the
-///    telemetry twin of the parallel-evacuator determinism suite.
+///    deterministic event fields are identical across GcThreads.
 ///  * The chrome://tracing exporter emits valid JSON with per-worker
 ///    tracks, and the recorder's ring stays bounded.
 ///
@@ -369,8 +368,8 @@ void churn(Mutator &M, unsigned Iters = 5000) {
   M.collect(/*Major=*/true);
 }
 
-/// Explicit-collections-only config (see parallel_evacuator_test.cpp: pad
-/// waste must not shift the collection cadence across thread counts).
+/// Explicit-collections-only config: target liveness so low that spaces
+/// never shrink, so only churn's explicit collections run.
 MutatorConfig explicitOnlyConfig(CollectorKind Kind, unsigned Threads) {
   MutatorConfig Cfg;
   Cfg.Kind = Kind;
@@ -554,12 +553,10 @@ TEST(ObserveAudits, PretenureFlipsCarryEvidence) {
 //===----------------------------------------------------------------------===//
 
 /// The deterministic slice of an event (GcEvent's field-by-field contract;
-/// timing, worker spans, BytesPromoted — which includes parallel block
-/// padding — and DirtyCards/CardsScanned — whose card population depends on
-/// object placement — are excluded).
+/// timing and worker spans are excluded).
 using EventKey = std::tuple<uint64_t, int, int, uint64_t, uint64_t, uint64_t,
                             uint64_t, uint64_t, uint64_t, uint64_t, uint64_t,
-                            bool>;
+                            bool, uint64_t, uint64_t, uint64_t>;
 
 std::vector<EventKey>
 eventStream(CollectorKind Kind, unsigned Threads,
@@ -579,7 +576,8 @@ eventStream(CollectorKind Kind, unsigned Threads,
                       E.ObjectsCopied, E.FramesAtGC, E.FramesScanned,
                       E.FramesReused, E.SsbEntriesProcessed,
                       E.BytesPretenured, E.CrossingMapUpdates,
-                      E.HybridSwitched);
+                      E.HybridSwitched, E.BytesPromoted, E.DirtyCards,
+                      E.CardsScanned);
   }
   return Keys;
 }
@@ -617,8 +615,9 @@ INSTANTIATE_TEST_SUITE_P(Threads, ObserveParallelDeterminism,
                          ::testing::Values(1u, 2u, 8u));
 
 TEST(ObserveCardFields, SerialRerunsReproduceCardCounters) {
-  // DirtyCards/CardsScanned are engine-dependent across thread counts but
-  // must still be reproducible run-to-run on the same engine.
+  // DirtyCards/CardsScanned must be reproducible run-to-run, and a run
+  // whose barriered stores dirtied no card would make the GcThreads
+  // comparison above vacuous.
   auto CardCounters = [](unsigned Threads) {
     EventRecorder Rec;
     MutatorConfig Cfg =
@@ -807,6 +806,7 @@ private:
 TEST(TraceExport, RendersValidJsonWithWorkerTracks) {
   EventRecorder Rec;
   MutatorConfig Cfg = explicitOnlyConfig(CollectorKind::Generational, 4);
+  Cfg.MajorGc = GenerationalCollector::MajorGcKind::MarkCompact;
   Cfg.Observer = &Rec;
   {
     Mutator M(Cfg);
@@ -820,9 +820,10 @@ TEST(TraceExport, RendersValidJsonWithWorkerTracks) {
   EXPECT_NE(Json.find("minor gc #"), std::string::npos);
   EXPECT_NE(Json.find("major gc #"), std::string::npos);
   EXPECT_NE(Json.find("stack-scan"), std::string::npos);
-  // GcThreads = 4 with an armed plane: per-worker tracks present.
-  EXPECT_NE(Json.find("evac worker 0"), std::string::npos);
-  EXPECT_NE(Json.find("evac worker 3"), std::string::npos);
+  // GcThreads = 4 with an armed plane: the mark-compact majors' mark
+  // workers each have a track.
+  EXPECT_NE(Json.find("gc worker 0"), std::string::npos);
+  EXPECT_NE(Json.find("gc worker 3"), std::string::npos);
 }
 
 TEST(TraceExport, MutatorWritesTraceFileAtDestruction) {
@@ -964,7 +965,7 @@ TEST(TraceExport, SerialTraceHasNoWorkerTracks) {
   std::string Json = TraceExporter::render(Rec);
   JsonChecker Checker(Json);
   EXPECT_TRUE(Checker.valid());
-  EXPECT_EQ(Json.find("evac worker"), std::string::npos);
+  EXPECT_EQ(Json.find("gc worker"), std::string::npos);
 }
 
 } // namespace

@@ -341,9 +341,7 @@ struct WorkloadOutcome {
 
 WorkloadOutcome runWorkloadOnce(Workload &W, bool CompiledPlans,
                                 bool UseMarkers, double Scale) {
-  // GcThreads = 1: parallel block-handout pad waste varies run to run,
-  // which can legitimately shift allocation-triggered collection cadence;
-  // the thread-count differential below pins its budgets instead.
+  // GcThreads = 1; the thread-count differential below covers the others.
   MutatorConfig Cfg;
   Cfg.Kind = CollectorKind::Generational;
   Cfg.BudgetBytes = 1u << 20;
@@ -494,8 +492,8 @@ struct DiffOutcome {
 };
 
 DiffOutcome runDiffWorkload(unsigned Threads, bool CompiledPlans) {
-  // Pinned budgets (see parallel_evacuator_test): only explicit collections
-  // fire, so the cadence cannot shift with thread count or root order.
+  // Pinned budgets: only explicit collections fire, so the cadence cannot
+  // shift with thread count or root order.
   MutatorConfig Cfg;
   Cfg.Kind = CollectorKind::Generational;
   Cfg.BudgetBytes = 16u << 20;

@@ -289,15 +289,18 @@ INSTANTIATE_TEST_SUITE_P(Mutators, SafepointNoShowBark,
 TEST(Watchdog, GcCycleDeadlineBarkIsStructured) {
   const double Scale = 0.12;
   ScopedFaults Guard;
-  // Two 20ms worker stalls stretch two collections far past the deadline.
+  // Two 20ms mark-worker stalls stretch the mark-compact majors far past
+  // the deadline.
   FaultInjector::global().arm(FaultPoint::WorkerStall, 1, /*FireCount=*/2);
   EventRecorder R;
   MutatorConfig C = supervConfig("superv-gcbark", 2);
+  C.MajorGc = GenerationalCollector::MajorGcKind::MarkCompact;
   C.GcDeadlineMicros = 2000;
   C.WatchdogEscalation = WatchdogPolicy::Report;
   C.Observer = &R;
   Mutator M(C);
-  Workload *W = findWorkload("Life");
+  // PIA runs majors under this budget (Life runs none).
+  Workload *W = findWorkload("PIA");
   uint64_t Sum = W->run(M, Scale);
   EXPECT_EQ(Sum, W->expected(Scale));
   EXPECT_GE(FaultInjector::global().fired(FaultPoint::WorkerStall), 1u);

@@ -243,7 +243,13 @@ std::vector<TortureCase> tortureConfigs() {
   Add("generational_poison", [](MutatorConfig &C) {
     C.VerifyLevel = envVerifyLevel(3);
   });
-  Add("generational_mt4", [](MutatorConfig &C) { C.GcThreads = 4; });
+  // Four GC workers run the mark-compact mark and fixup and the striped
+  // card sweep.
+  Add("generational_mt4", [](MutatorConfig &C) {
+    C.GcThreads = 4;
+    C.MajorGc = GenerationalCollector::MajorGcKind::MarkCompact;
+    C.Barrier = GenerationalCollector::BarrierKind::CardMarking;
+  });
   Add("generational_markers", [](MutatorConfig &C) {
     C.UseStackMarkers = true;
     C.VerifyLevel = std::max(C.VerifyLevel, 2u);
